@@ -17,9 +17,9 @@ The gate fails (exit 1) when
   ``threaded-restart`` (float64) stopped being bitwise the serial
   portfolio,
 * the serving bench (``BENCH_serve.json``) lost its invariants (zero
-  cache hit rate, no coalescing, a bitwise divergence from the direct
-  engine) or its calibrated pairs/sec regressed past the slowdown
-  budget, or
+  cache hit rate, a BLAS team other than one thread with no
+  environment override, a bitwise divergence from the direct engine)
+  or its calibrated pairs/sec regressed past the slowdown budget, or
 * the scalability bench (``BENCH_scale.json``) lost a correctness
   invariant (parallel blocks no longer bitwise the serial loop,
   injected cross-partition links no longer fully recovered) or its
@@ -62,6 +62,25 @@ def load(path: Path) -> dict | None:
     return json.loads(path.read_text())
 
 
+def blas_team_mismatch(baseline: dict, fresh: dict, name: str):
+    """Failure message when the two sides calibrated under different BLAS teams.
+
+    ``reference_seconds`` times a BLAS workload, so its value depends
+    on the team size: one thread roughly doubles it on a 2-core box,
+    and a baseline recorded under a 2-thread team then hides a real
+    slowdown behind the larger fresh reference.  None when either side
+    does not record its team or both match.
+    """
+    base, cur = baseline.get("blas_threads"), fresh.get("blas_threads")
+    if base is None or cur is None or base == cur:
+        return None
+    return (
+        f"{name}: baseline calibrated under {base} BLAS thread(s), fresh "
+        f"under {cur}; calibrated figures are not comparable (re-record "
+        "the baseline under the fresh run's BLAS team)"
+    )
+
+
 def check_solver(baseline_dir: Path, current_dir: Path, max_slowdown: float):
     """Yield failure messages for the solver microbench comparison."""
     fresh = load(current_dir / "BENCH_solver.json")
@@ -71,6 +90,10 @@ def check_solver(baseline_dir: Path, current_dir: Path, max_slowdown: float):
     baseline = load(baseline_dir / "BENCH_solver.json")
     if baseline is None:
         print("note: no baseline BENCH_solver.json; skipping solver gate")
+        return
+    mismatch = blas_team_mismatch(baseline, fresh, "solver microbench")
+    if mismatch:
+        yield mismatch
         return
     base_fit = baseline.get("fit_seconds")
     fresh_fit = fresh.get("fit_seconds")
@@ -217,8 +240,9 @@ def check_precision(current_dir: Path, min_speedup: float = 1.3):
 def check_serve(baseline_dir: Path, current_dir: Path, max_slowdown: float):
     """Yield failure messages for the serving-bench comparison.
 
-    The fresh file carries its own correctness invariants (cache hits,
-    coalescing engaged, bitwise fidelity) — those gate unconditionally.
+    The fresh file carries its own invariants (cache hits, the
+    one-thread BLAS policy unless ``blas_thread_env`` records an
+    override or the build cannot report its team, bitwise fidelity) — those gate unconditionally.
     Throughput gates only against a committed baseline, normalised by
     each side's ``reference_seconds`` so machine speed cancels out:
     ``pairs_per_second × reference_seconds`` is pairs per reference
@@ -230,8 +254,17 @@ def check_serve(baseline_dir: Path, current_dir: Path, max_slowdown: float):
         return
     if fresh.get("cache", {}).get("hit_rate", 0.0) <= 0.0:
         yield "serve bench: plan-cache hit rate is zero (sharing broken)"
-    if fresh.get("coalesced_batches", 0) <= 0:
-        yield "serve bench: no coalesced batches (coalescing disengaged)"
+    if "blas_threads" not in fresh:
+        yield "serve bench: no blas_threads recorded"
+    elif fresh["blas_threads"] is None:
+        # the policy covers the OpenBLAS bundled with NumPy/SciPy wheels
+        # and threadpoolctl; other BLAS builds cannot report a team
+        print("note: BLAS team size unknown on this build; one-thread check skipped")
+    elif fresh["blas_threads"] != 1 and not fresh.get("blas_thread_env"):
+        yield (
+            f"serve bench: BLAS ran {fresh['blas_threads']} thread(s) "
+            "with no environment override (one-thread policy not applied)"
+        )
     if fresh.get("single_pair_bitwise_equal") is not True:
         yield (
             "serve bench: served plan diverged bitwise from the direct "
@@ -240,6 +273,10 @@ def check_serve(baseline_dir: Path, current_dir: Path, max_slowdown: float):
     baseline = load(baseline_dir / "BENCH_serve.json")
     if baseline is None:
         print("note: no baseline BENCH_serve.json; skipping serve gate")
+        return
+    mismatch = blas_team_mismatch(baseline, fresh, "serve bench")
+    if mismatch:
+        yield mismatch
         return
     base_pps = baseline.get("pairs_per_second")
     fresh_pps = fresh.get("pairs_per_second")

@@ -18,8 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
+from calibration import machine_reference_seconds
 from repro.core import SLOTAlign, SLOTAlignConfig
 from repro.datasets import make_semi_synthetic_pair
+from repro.engine.blas import blas_threads, thread_env
 from repro.engine.pipeline import AlignmentEngine
 from repro.graphs import stochastic_block_model
 from repro.graphs.features import community_bag_of_words
@@ -96,31 +98,6 @@ def test_bench_proximal_gw(benchmark):
     assert np.all(np.isfinite(result.plan))
 
 
-def _machine_reference_seconds() -> float:
-    """A fixed deterministic workload timing this machine's BLAS.
-
-    Mirrors the solver's op mix (GEMM + matvec + elementwise exp) at a
-    fixed size, min of 3 repeats.  Stored alongside ``fit_seconds`` so
-    the CI regression gate can compare *normalised* solver times
-    (fit / reference) across machines of different speeds instead of
-    gating raw wall-clock from one box against another.
-    """
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((200, 200))
-    v = rng.standard_normal(200)
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        c = a
-        for _ in range(20):
-            c = a @ c
-            c /= np.abs(c).max()
-        for _ in range(200):
-            v = np.exp(-np.abs(a @ v) / 50.0)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def _solver_problem(seed=0, n_per_block=27):
     """Bench-scale semi-synthetic pair (~Fig. 6/7 conditions)."""
     graph = stochastic_block_model([n_per_block] * 3, 0.3, 0.02, seed=seed)
@@ -183,7 +160,9 @@ def test_bench_slotalign_fit(benchmark):
             "max_outer_iter": cfg.max_outer_iter,
         },
         "fit_seconds": result.runtime,
-        "reference_seconds": _machine_reference_seconds(),
+        "reference_seconds": machine_reference_seconds(),
+        "blas_threads": blas_threads(),
+        "blas_thread_env": thread_env(),
         "backend_fit_seconds": backend_seconds,
         "batched_speedup": (
             backend_seconds["fused-dense"]

@@ -2,7 +2,7 @@
 
 The fast Sinkhorn kernels, the lockstep portfolio update and the fused
 contraction core carry a bitwise contract: serial, batched and
-coalesced solves must produce bit-for-bit identical iterates, and the
+threaded solves must produce bit-for-bit identical iterates, and the
 benchmark baselines are calibrated against these exact instruction
 sequences.  The project rule (ROADMAP item 5) is therefore *never
 mutate a pinned path in place* — a divergent numeric variant registers

@@ -21,7 +21,7 @@ Commands
 ``serve``
     Run the in-process alignment service against a synthetic traffic
     burst and print the service-level report: pairs/sec, plan-cache
-    hit rate, p50/p99 latency, coalescing counters and the bitwise
+    hit rate, p50/p99 latency, the BLAS team size and the bitwise
     fidelity check against a direct engine run.
 ``lint``
     Run the project static-analysis rules (:mod:`repro.analysis`) over
@@ -306,10 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, help="worker-thread count"
     )
     serve.add_argument(
-        "--max-batch", type=int, default=8,
-        help="largest coalesced batch one worker may solve",
-    )
-    serve.add_argument(
         "--iters", type=int, default=25,
         help="outer-iteration budget per request",
     )
@@ -524,7 +520,6 @@ def _run_serve(args) -> int:
         n_jobs=args.n_jobs,
         n_distinct=args.n_distinct,
         workers=args.workers,
-        max_batch=args.max_batch,
         iters=args.iters,
     )
     print(format_serve_report(report))

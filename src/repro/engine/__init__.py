@@ -20,6 +20,11 @@ Every alignment in the library decomposes into four explicit stages:
 experiment drivers and the CLI are all thin shims over
 :class:`AlignmentEngine`, so batching/caching/backends land once and
 reach every workload.
+
+Importing this package applies the process-wide BLAS thread policy
+(:mod:`repro.engine.blas`): one thread for the OpenBLAS bundled with
+NumPy and SciPy unless the environment sets ``OPENBLAS_NUM_THREADS``
+or ``OMP_NUM_THREADS``.
 """
 
 from repro.engine.planning import (
@@ -42,7 +47,6 @@ from repro.engine.backends import (
     partial_backends,
     register_backend,
 )
-from repro.engine.coalesce import coalescible, solve_coalesced
 from repro.engine.decode import (
     DEFAULT_DECODER,
     DecodedMatching,
@@ -63,6 +67,9 @@ from repro.engine.precision import (
     backend_for_precision,
     ensure_precision,
 )
+from repro.engine.blas import apply_blas_policy, blas_threads
+
+apply_blas_policy()
 
 __all__ = [
     "AlignmentEngine",
@@ -77,14 +84,13 @@ __all__ = [
     "SolverPrecision",
     "backend_for_precision",
     "ensure_precision",
-    "coalescible",
-    "solve_coalesced",
     "PlanCache",
     "PreparedProblem",
     "align_pair",
     "available_backends",
     "available_decoders",
     "backend_kind",
+    "blas_threads",
     "decode_plan",
     "dense_backends",
     "ensure_classical_problem",

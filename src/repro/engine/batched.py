@@ -67,11 +67,9 @@ from repro.utils.timer import Timer
 class _BatchedRun:
     """One restart's state between lockstep iterations.
 
-    Each run carries its *own* :class:`JointObjective`: within one
-    pair every restart shares the objective instance, while the
-    coalesced multi-pair solve (:mod:`repro.engine.coalesce`) stacks
-    runs whose objectives belong to different graph pairs.  All
-    lockstep tensor work only ever touches a run's own slice, so the
+    Each run carries its *own* :class:`JointObjective`; within one
+    pair every restart shares the objective instance.  All lockstep
+    tensor work only ever touches a run's own slice, so the
     composition of the batch never changes any run's iterates.
     """
 
@@ -107,11 +105,11 @@ class _BatchedRun:
 class _LockstepPortfolio:
     """Advances a set of restarts iteration-by-iteration, batched.
 
-    The runs may share one objective (the within-pair portfolio) or
-    carry one objective each (the cross-pair coalesced solve); the
-    only requirements are a common ``(n, m)`` plan shape, common
-    marginals and a common config, so the stacked contractions and the
-    shared η schedule stay well-defined.
+    The runs share one objective (the within-pair portfolio).  The
+    stepper also accepts runs carrying one objective each — a
+    cross-pair stack that no caller builds any more — as long as they
+    share the ``(n, m)`` plan shape, the marginals and the config, so
+    the stacked contractions and the η schedule stay well-defined.
     """
 
     def __init__(self, config, mu, nu):
@@ -254,7 +252,7 @@ class _LockstepPortfolio:
                 + np.matmul(np.matmul(d_s.swapaxes(1, 2), plans), d_t)
             )
         else:
-            # mixed batch (coalesced pairs disagreeing on basis
+            # mixed batch (cross-pair runs disagreeing on basis
             # symmetry): each sub-stack gets its own formula on a
             # contiguous fancy-indexed copy — per-slice results are
             # identical to the unmixed branches above

@@ -296,7 +296,7 @@ class _MixedLockstep:
             np.add(ws.grad[:r], ws.sp[:r], out=ws.grad[:r])
             np.multiply(ws.grad[:r], -2.0, out=ws.grad[:r])
         else:
-            # mixed coalesced batch: per-slice GEMMs, same per the
+            # mixed cross-pair batch: per-slice GEMMs, same per the
             # stacked-matmul contract
             for i, run in enumerate(active):
                 np.matmul(ws.d_s[i], plans[i], out=ws.sp[i])

@@ -26,13 +26,9 @@ a deterministic function of its own state:
   (:class:`~repro.ot.workspace.WorkspaceArena`) — no buffer aliasing
   across threads, and the result is bit-for-bit ``fused-dense-f32``.
 
-BLAS thread awareness: oversubscription (each of W worker threads
-spawning a full team of BLAS threads) thrashes caches, so while the
-pool is active the per-call BLAS team is limited to
-``max(1, cpus // workers)`` via ``threadpoolctl`` *when that package
-is importable* — this container does not ship it, so the limit is
-best-effort and documented as such (single-threaded OpenBLAS defaults
-behave identically either way).  Under ``available_cpus() == 1`` (or
+BLAS threads: the process-wide policy of :mod:`repro.engine.blas`
+runs every BLAS call on one thread, so W pool threads occupy W cores
+instead of W full BLAS teams.  Under ``available_cpus() == 1`` (or
 ``max_workers=1``) no pool is created at all and the loop is the
 serial reference scheduler.
 """
@@ -40,9 +36,9 @@ serial reference scheduler.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
 
 from repro.core.objective import JointObjective
+from repro.engine.blas import blas_threads
 from repro.engine.mixed import MixedRun, _MixedLockstep
 from repro.engine.precision import DEFAULT_PRECISION, ensure_precision
 from repro.engine.restarts import (
@@ -55,28 +51,6 @@ from repro.engine.restarts import (
 )
 from repro.ot.workspace import WorkspaceArena
 from repro.utils.timer import Timer
-
-
-@contextmanager
-def blas_thread_limit(limit: int | None):
-    """Best-effort cap on BLAS threads while worker threads run.
-
-    Uses :mod:`threadpoolctl` when available; otherwise a no-op (the
-    semantics of the solve never depend on the team size, only the
-    wall-clock does).
-    """
-    if limit is None:
-        with nullcontext():
-            yield
-            return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        with nullcontext():
-            yield
-            return
-    with threadpool_limits(limits=limit):
-        yield
 
 
 class ThreadedRestartBackend:
@@ -116,15 +90,14 @@ class ThreadedRestartBackend:
         return max(1, min(n_runs, available_cpus()))
 
     @staticmethod
-    def _advance(runs, target: int, pool, blas_limit) -> None:
+    def _advance(runs, target: int, pool) -> None:
         live = [run for run in runs if run.active]
         if pool is None or len(live) <= 1:
             for run in live:
                 run.step_until(target)
             return
-        with blas_thread_limit(blas_limit):
-            # consuming the map iterator re-raises worker exceptions
-            list(pool.map(lambda run: run.step_until(target), live))
+        # consuming the map iterator re-raises worker exceptions
+        list(pool.map(lambda run: run.step_until(target), live))
 
     # ------------------------------------------------------------------
     def solve(self, problem):
@@ -162,7 +135,6 @@ class ThreadedRestartBackend:
                 ]
             workers = self._worker_count(len(runs))
             cpus = available_cpus()
-            blas_limit = max(1, cpus // workers) if workers > 1 else None
             pool = (
                 ThreadPoolExecutor(
                     max_workers=workers, thread_name_prefix="restart"
@@ -173,7 +145,7 @@ class ThreadedRestartBackend:
             try:
                 checkpoints = prune_schedule(cfg) if len(runs) > 1 else []
                 for checkpoint, margin in checkpoints:
-                    self._advance(runs, checkpoint, pool, blas_limit)
+                    self._advance(runs, checkpoint, pool)
                     contenders = {
                         run.label: run.current_objective()
                         for run in runs
@@ -183,7 +155,7 @@ class ThreadedRestartBackend:
                     for run in runs:
                         if run.active and contenders[run.label] > leader + margin:
                             run.prune()
-                self._advance(runs, cfg.max_outer_iter, pool, blas_limit)
+                self._advance(runs, cfg.max_outer_iter, pool)
             finally:
                 if pool is not None:
                     pool.shutdown(wait=True)
@@ -199,9 +171,9 @@ class ThreadedRestartBackend:
             "workers": workers,
             "requested_workers": self.max_workers,
             "cpus": cpus,
-            "blas_threads_per_worker": blas_limit,
+            "blas_threads": blas_threads(),
         }
         return result
 
 
-__all__ = ["ThreadedRestartBackend", "blas_thread_limit"]
+__all__ = ["ThreadedRestartBackend"]

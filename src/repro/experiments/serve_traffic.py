@@ -4,13 +4,12 @@ Models the serving workload the ROADMAP's alignment-as-a-service item
 describes: a burst of small alignment requests over a handful of
 *distinct* pairs, each pair requested repeatedly.  Repetition
 exercises the shared plan cache (content-equal graphs hit the same
-entry regardless of which job carries them), and the same-shape burst
-exercises batch coalescing (queued compatible jobs solve as one
-stacked lockstep batch).  The driver reports the service-level
-numbers the benchmark gates on — pairs/sec, cache hit rate, latency
-percentiles, coalescing counters — plus a **bitwise fidelity check**:
-the served plan of the first pair must be bit-for-bit identical to a
-direct single-pair :class:`AlignmentEngine` run.
+entry regardless of which job carries them).  The report carries the
+service-level numbers the benchmark gates on — pairs/sec, cache hit
+rate, latency percentiles, the BLAS team size — plus a **bitwise
+fidelity check**: the served plan of the first pair must be
+bit-for-bit identical to a direct single-pair
+:class:`AlignmentEngine` run.
 
 Run:  ``python -m repro serve <dataset>``
 """
@@ -24,6 +23,7 @@ import numpy as np
 from repro.core import SLOTAlignConfig
 from repro.datasets import load_graph_dataset, make_semi_synthetic_pair
 from repro.engine import AlignmentEngine, PlanCache
+from repro.engine.blas import thread_env
 from repro.scale import available_cpus
 from repro.serve import AlignmentService, wait_all
 
@@ -48,10 +48,10 @@ def traffic_pairs(
 ) -> list:
     """``n_distinct`` same-shape pairs from one dataset stand-in.
 
-    All pairs share the base graph (and therefore plan shape — the
-    coalescing precondition) but use distinct perturbation seeds, so
-    their targets are distinct cache entries while repeated requests
-    for the same pair are exact cache hits.
+    All pairs share the base graph (and therefore plan shape) but use
+    distinct perturbation seeds, so their targets are distinct cache
+    entries while repeated requests for the same pair are exact cache
+    hits.
     """
     graph = load_graph_dataset(dataset, scale=scale)
     return [
@@ -67,21 +67,17 @@ def run_serve_traffic(
     n_jobs: int = 24,
     n_distinct: int = 4,
     workers: int = 2,
-    max_batch: int = 8,
     iters: int = 25,
 ) -> dict:
     """Drive the service with a synthetic burst and report its stats.
 
     Jobs are submitted round-robin over ``n_distinct`` pairs *before*
-    the workers start, so the backlog is visible to the first dequeue
-    and coalescing engages deterministically.
+    the workers start, so every worker finds a full backlog.
     """
     config = serve_config(iters)
     pairs = traffic_pairs(dataset, n_distinct, scale, seed)
     cache = PlanCache()
-    service = AlignmentService(
-        config, cache=cache, workers=workers, max_batch=max_batch
-    )
+    service = AlignmentService(config, cache=cache, workers=workers)
     jobs = []
     for index in range(n_jobs):
         pair = pairs[index % n_distinct]
@@ -103,7 +99,7 @@ def run_serve_traffic(
     latency = stats["latency_seconds"]
 
     # fidelity: the served plan of pair 0 must be bit-for-bit what a
-    # direct single-pair engine run produces (coalescing and cache
+    # direct single-pair engine run produces (the worker pool and cache
     # sharing are pure scheduling)
     direct = AlignmentEngine(config, cache=None).align(
         pairs[0].source, pairs[0].target
@@ -118,7 +114,6 @@ def run_serve_traffic(
         "n_jobs": n_jobs,
         "n_distinct": n_distinct,
         "workers": workers,
-        "max_batch": max_batch,
         "iters": iters,
         "n_nodes": pairs[0].source.n_nodes,
         "completed": completed,
@@ -137,11 +132,10 @@ def run_serve_traffic(
             "builds": info["builds"],
             "hit_rate": info["hits"] / lookups if lookups else 0.0,
         },
-        "coalesced_batches": stats["coalesced_batches"],
-        "coalesced_pairs": stats["coalesced_pairs"],
-        "solo_pairs": stats["solo_pairs"],
         "single_pair_bitwise_equal": bitwise_equal,
         "cpu_count": available_cpus(),
+        "blas_threads": stats["blas_threads"],
+        "blas_thread_env": thread_env(),
     }
 
 
@@ -155,7 +149,7 @@ def format_serve_report(report: dict) -> str:
         f"traffic            {report['n_jobs']} jobs over "
         f"{report['n_distinct']} distinct pairs",
         f"service            {report['workers']} workers, "
-        f"max_batch={report['max_batch']}",
+        f"{report['blas_threads']} BLAS thread(s) each",
         f"completed          {report['completed']} "
         f"(failed={report['failed']}, rejected={report['rejected']})",
         f"pairs/sec          {report['pairs_per_second']:.2f}",
@@ -163,9 +157,6 @@ def format_serve_report(report: dict) -> str:
         f"latency p99        {latency['p99']:.1f} ms",
         f"cache hit rate     {cache['hit_rate']:.2%} "
         f"({cache['hits']} hits / {cache['builds']} builds)",
-        f"coalesced          {report['coalesced_pairs']} pairs in "
-        f"{report['coalesced_batches']} batches "
-        f"(solo={report['solo_pairs']})",
         f"bitwise vs direct  "
         f"{'OK' if report['single_pair_bitwise_equal'] else 'MISMATCH'}",
     ]

@@ -193,7 +193,7 @@ def sinkhorn_log_kernel_fast(
 ) -> SinkhornResult:  #: pinned
     """Fast projection of ``exp(log_kernel)`` onto ``Π(μ, ν)``.
 
-    .. note:: **bitwise-pinned** — the serial/batched/coalesced solver
+    .. note:: **bitwise-pinned** — the serial/batched/threaded solver
        equivalence and the committed benchmark baselines depend on this
        exact instruction sequence; ``repro lint`` fails on any semantic
        edit.  Register a divergent variant under a new solver backend
@@ -391,7 +391,7 @@ def sinkhorn_log_kernel_fast_workspace(
     and its plan stops being written, while the remaining slices keep
     iterating on the full stack — so every slice's plan is bit-for-bit
     what the serial kernel produces for that kernel alone, which is
-    what lets heterogeneous coalesced batches keep the single-pair
+    what lets heterogeneous cross-pair batches keep the single-pair
     bitwise contract.  (Frozen slices ride along in the stack matvecs;
     their scaling vectors become dead state that is never read again.
     No fancy-indexed copies, no allocation.)  Returns ``(iterations,

@@ -6,12 +6,7 @@ admission control turns it away at submit time, ``FAILED`` when the
 solve raises.  Completion is a :class:`threading.Event`, so any number
 of client threads can :meth:`Job.wait` on one job.
 
-:class:`JobQueue` is the FIFO feeding the worker loop.  Beyond the
-usual blocking ``get`` it supports :meth:`JobQueue.take_matching` —
-remove up to ``limit`` jobs satisfying a predicate while preserving
-the relative order of everything left behind — which is what lets a
-worker coalesce the compatible same-shape requests behind the head of
-the queue into one stacked solve without reordering the rest.
+:class:`JobQueue` is the FIFO feeding the worker loop.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -61,18 +55,16 @@ class Job:
     init_plan: np.ndarray | None = None
     tag: str | None = None
     # decoder applied to this job's solved plan, or None to score the
-    # plan posterior directly; a per-job *post-solve* concern, so it is
-    # deliberately absent from the coalescing compatibility key
+    # plan posterior directly
     decoder: str | None = None
-    # solve-stage working precision ("float64" / "float32"); part of
-    # the coalescing compatibility key — a float32 job must never share
-    # a lockstep batch with a float64 job
+    # solve-stage working precision ("float64" / "float32")
     precision: str = "float64"
     job_id: int = field(default_factory=lambda: next(_JOB_IDS))
     state: JobState = JobState.QUEUED
     result: object = None
     error: str | None = None
-    batch_size: int = 0
+    # jobs per solve; every job is solved on its own, so always 1
+    batch_size: int = 1
     submitted_at: float = field(default_factory=time.perf_counter)
     started_at: float | None = None
     finished_at: float | None = None
@@ -107,9 +99,8 @@ class Job:
         self.state = JobState.RUNNING
         self.started_at = time.perf_counter()
 
-    def mark_done(self, result, batch_size: int) -> None:
+    def mark_done(self, result) -> None:
         self.result = result
-        self.batch_size = batch_size
         self.state = JobState.DONE
         self.finished_at = time.perf_counter()
         self._done.set()
@@ -132,7 +123,7 @@ class QueueClosed(RuntimeError):
 
 
 class JobQueue:
-    """Thread-safe FIFO of jobs with selective batch extraction."""
+    """Thread-safe FIFO of jobs."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -177,29 +168,6 @@ class JobQueue:
                         return None
                 self._not_empty.wait(remaining)
             return self._items.popleft()
-
-    def take_matching(
-        self, predicate: Callable[[Job], bool], limit: int
-    ) -> list[Job]:
-        """Remove up to ``limit`` queued jobs satisfying ``predicate``.
-
-        Scans front-to-back (oldest requests coalesce first) and
-        preserves the relative order of the jobs left behind, so
-        non-matching requests are never starved or reordered.
-        """
-        if limit <= 0:
-            return []
-        taken: list[Job] = []
-        with self._lock:
-            kept: deque[Job] = deque()
-            while self._items:
-                job = self._items.popleft()
-                if len(taken) < limit and predicate(job):
-                    taken.append(job)
-                else:
-                    kept.append(job)
-            self._items = kept
-        return taken
 
     def close(self) -> None:
         """Refuse new work and wake every blocked ``get``."""

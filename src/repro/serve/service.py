@@ -1,10 +1,10 @@
-"""The in-process alignment service: queue, workers, coalescing.
+"""The in-process alignment service: queue, workers, shared plan cache.
 
 :class:`AlignmentService` turns the PR-5 engine into a long-lived
 **alignment-as-a-service** endpoint: clients :meth:`~AlignmentService.submit`
 graph pairs and get back :class:`~repro.serve.jobs.Job` handles they
 can wait on, while a pool of worker threads drains a FIFO
-:class:`~repro.serve.jobs.JobQueue`.  Three engine-level properties do
+:class:`~repro.serve.jobs.JobQueue`.  Three properties do
 the heavy lifting:
 
 * **shared plan cache** — all jobs plan through one
@@ -12,13 +12,13 @@ the heavy lifting:
   cache by default), so repeated or content-equal pairs pay kernel
   construction once, across jobs and across workers (the cache's
   single-flight discipline absorbs concurrent misses);
-* **batch coalescing** — a worker that dequeues a job also drains the
-  queued jobs *compatible* with it (identical config, identical plan
-  shape, dense backend) and solves them as one stacked
-  ``(B·R, n, m)`` lockstep batch via
-  :func:`~repro.engine.coalesce.solve_coalesced`.  Coalescing is pure
-  scheduling: every pair's plan stays bit-for-bit identical to a
-  direct :class:`~repro.engine.AlignmentEngine` run;
+* **one job per solve** — each worker solves one job at a time with
+  the configured backend, under the process-wide one-thread BLAS
+  policy (:mod:`repro.engine.blas`), so W workers keep W cores busy
+  and every served plan is bit-for-bit a direct
+  :class:`~repro.engine.AlignmentEngine` run.  Stacking queued pairs
+  into one lockstep solve was measured slower than solving them one
+  by one at this problem size, and was removed;
 * **admission control** — every submit is reviewed by an
   :class:`~repro.serve.budget.AdmissionPolicy`; over-budget requests
   complete immediately as ``REJECTED`` with a reason instead of
@@ -38,8 +38,8 @@ import time
 import numpy as np
 
 from repro.core.config import SLOTAlignConfig
-from repro.engine.backends import DEFAULT_BACKEND, backend_kind, get_backend
-from repro.engine.coalesce import solve_coalesced
+from repro.engine.backends import DEFAULT_BACKEND, get_backend
+from repro.engine.blas import blas_threads
 from repro.engine.precision import (
     DEFAULT_PRECISION,
     backend_for_precision,
@@ -76,9 +76,7 @@ class AlignmentService:
         Default :class:`SLOTAlignConfig` for jobs submitted without an
         explicit one.
     backend:
-        Solver backend for solo (non-coalesced) solves.  Coalescing
-        requires a dense backend; with a sparse backend the service
-        degrades to solo solves.
+        Solver backend every job is solved with.
     cache:
         :class:`PlanCache` shared by every job.  Defaults to the
         process-wide shared cache; pass ``None`` to disable caching.
@@ -87,26 +85,19 @@ class AlignmentService:
     workers:
         Worker-thread count.  One worker keeps completion strictly
         FIFO; more trade ordering for parallel throughput.
-    coalesce:
-        Whether workers may batch compatible queued jobs into one
-        stacked solve.
     max_batch:
-        Largest number of jobs one coalesced solve may absorb.
+        Accepted and ignored: every job is solved on its own.  Kept so
+        callers written for the batching service keep working.
     evaluate_ks:
         ``k`` values for Hits@k when a job carries ground truth.
     decoder:
         Default decoder applied to every solved plan (jobs may
         override per-submit).  ``None`` skips the decode stage and
         scores the plan posterior directly — the pre-decode service,
-        bit for bit.  Decoding is per-job and post-solve, so it never
-        enters the coalescing compatibility key: jobs wanting
-        different decoders still share one stacked solve.
+        bit for bit.
     precision:
         Default solve-stage working precision for jobs submitted
         without an explicit one (``"float64"`` / ``"float32"``).
-        Unlike ``decoder``, precision changes the solve itself, so it
-        **is** part of the coalescing compatibility key: a float32 job
-        never shares a lockstep batch with a float64 job.
     """
 
     def __init__(
@@ -116,16 +107,13 @@ class AlignmentService:
         cache=_SHARED,
         policy: AdmissionPolicy | None = None,
         workers: int = 1,
-        coalesce: bool = True,
-        max_batch: int = 8,
+        max_batch: int | None = None,
         evaluate_ks=(1, 5, 10, 30),
         decoder: str | None = None,
         precision: str = DEFAULT_PRECISION,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.config = config or SLOTAlignConfig()
         self.backend = backend
         self.cache: PlanCache | None = (
@@ -133,8 +121,6 @@ class AlignmentService:
         )
         self.policy = policy or AdmissionPolicy()
         self.workers = workers
-        self.coalesce = coalesce and backend_kind(backend) == "dense"
-        self.max_batch = max_batch
         self.evaluate_ks = tuple(evaluate_ks)
         self.decoder = ensure_decoder(decoder) if decoder is not None else None
         self.precision = ensure_precision(precision).name
@@ -155,9 +141,6 @@ class AlignmentService:
             "completed": 0,
             "failed": 0,
             "rejected": 0,
-            "coalesced_batches": 0,
-            "coalesced_pairs": 0,
-            "solo_pairs": 0,
         }
         self._latencies: list[float] = []  #: guarded-by: _stats_lock
 
@@ -260,6 +243,7 @@ class AlignmentService:
             **counters,
             "queue_depth": len(self._queue),
             "workers": self.workers,
+            "blas_threads": blas_threads(),
             "latency_seconds": {
                 "count": len(latencies),
                 "p50": _percentile(latencies, 50),
@@ -282,127 +266,74 @@ class AlignmentService:
                 self._decoders[name] = instance
         return instance
 
-    def _compatible(self, head: Job, other: Job) -> bool:
-        return (
-            other.config == head.config
-            and other.precision == head.precision
-            and other.source.n_nodes == head.source.n_nodes
-            and other.target.n_nodes == head.target.n_nodes
-        )
-
     def _worker_loop(self) -> None:
         while True:
-            head = self._queue.get()
-            if head is None:
+            job = self._queue.get()
+            if job is None:
                 return  # queue closed and drained
-            batch = [head]
-            if self.coalesce and self.max_batch > 1:
-                batch += self._queue.take_matching(
-                    lambda job: self._compatible(head, job),
-                    self.max_batch - 1,
-                )
-            self._run_batch(batch)
+            self._run_job(job)
 
-    def _run_batch(self, batch: list[Job]) -> None:
-        # plan stage: per-job, so a malformed request (bad init plan,
-        # missing features) fails that job alone and the survivors
-        # still solve
-        planned: list[tuple[Job, object, float]] = []
-        for job in batch:
-            job.mark_running()
-            t0 = time.perf_counter()
-            try:
-                problem = prepare_problem(
-                    job.source,
-                    job.target,
-                    job.config,
-                    init_plan=job.init_plan,
-                    cache=self.cache,
-                )
-                problem.bases  # force basis construction through the cache
-                # validate the initial coupling now: a malformed init
-                # plan must fail this job alone, not the whole batch
-                problem.initial_coupling(*problem.marginals())
-            except Exception as exc:  # noqa: BLE001 - job isolation
-                self._finish_failed(job, f"plan failed: {exc!r}")
-                continue
-            planned.append((job, problem, time.perf_counter() - t0))
-        if not planned:
-            return
-
+    def _run_job(self, job: Job) -> None:
+        # each stage fails this job alone, with the stage named
+        job.mark_running()
         t0 = time.perf_counter()
         try:
-            # the whole batch shares one precision (_compatible keys
-            # on it), so the head job's setting drives the solve
-            batch_precision = planned[0][0].precision
-            if len(planned) > 1:
-                results = solve_coalesced(
-                    [p for _, p, _ in planned], precision=batch_precision
-                )
-                with self._stats_lock:
-                    self._counters["coalesced_batches"] += 1
-                    self._counters["coalesced_pairs"] += len(planned)
-            else:
-                [(job, problem, _)] = planned
-                name, extra = backend_for_precision(
-                    self.backend, batch_precision
-                )
-                backend = get_backend(name, **extra)
-                results = [backend.solve(problem)]
-                with self._stats_lock:
-                    self._counters["solo_pairs"] += 1
-        except Exception as exc:  # noqa: BLE001 - job isolation
-            for job, _, _ in planned:
-                self._finish_failed(job, f"solve failed: {exc!r}")
-            return
-        solve_seconds = time.perf_counter() - t0
-
-        for (job, problem, plan_seconds), result in zip(planned, results):
-            t0 = time.perf_counter()
-            decoded = None
-            try:
-                # decode is per-job (jobs in one coalesced batch may
-                # use different decoders) and post-solve, so a bad
-                # plan shape fails this job alone
-                if job.decoder is not None:
-                    decoded = self._decoder_for(job.decoder).decode(
-                        result.plan
-                    )
-            except Exception as exc:  # noqa: BLE001 - job isolation
-                self._finish_failed(job, f"decode failed: {exc!r}")
-                continue
-            t_decode = time.perf_counter()
-            try:
-                metrics: dict[str, float] = {}
-                if job.ground_truth is not None:
-                    metrics = evaluate_alignment(
-                        decoded if decoded is not None else result,
-                        job.ground_truth,
-                        ks=self.evaluate_ks,
-                    )
-            except Exception as exc:  # noqa: BLE001 - job isolation
-                self._finish_failed(job, f"evaluate failed: {exc!r}")
-                continue
-            stage_seconds = {
-                "plan": plan_seconds,
-                # one lockstep solve advances the whole batch; each
-                # job is billed the shared batch wall-clock
-                "solve": solve_seconds,
-            }
-            if decoded is not None:
-                stage_seconds["decode"] = t_decode - t0
-            stage_seconds["evaluate"] = time.perf_counter() - t_decode
-            run = EngineRun(
-                result=result,
-                metrics=metrics,
-                stage_seconds=stage_seconds,
-                decoded=decoded,
+            problem = prepare_problem(
+                job.source,
+                job.target,
+                job.config,
+                init_plan=job.init_plan,
+                cache=self.cache,
             )
-            job.mark_done(run, batch_size=len(planned))
-            with self._stats_lock:
-                self._counters["completed"] += 1
-                if job.latency_seconds is not None:
-                    self._latencies.append(job.latency_seconds)
+            problem.bases  # force basis construction through the cache
+            # validate the initial coupling in the plan stage, so a
+            # malformed init plan reads as a plan failure
+            problem.initial_coupling(*problem.marginals())
+        except Exception as exc:  # noqa: BLE001 - job isolation
+            self._finish_failed(job, f"plan failed: {exc!r}")
+            return
+        t_plan = time.perf_counter()
+        try:
+            name, extra = backend_for_precision(self.backend, job.precision)
+            result = get_backend(name, **extra).solve(problem)
+        except Exception as exc:  # noqa: BLE001 - job isolation
+            self._finish_failed(job, f"solve failed: {exc!r}")
+            return
+        t_solve = time.perf_counter()
+        decoded = None
+        try:
+            if job.decoder is not None:
+                decoded = self._decoder_for(job.decoder).decode(result.plan)
+        except Exception as exc:  # noqa: BLE001 - job isolation
+            self._finish_failed(job, f"decode failed: {exc!r}")
+            return
+        t_decode = time.perf_counter()
+        try:
+            metrics: dict[str, float] = {}
+            if job.ground_truth is not None:
+                metrics = evaluate_alignment(
+                    decoded if decoded is not None else result,
+                    job.ground_truth,
+                    ks=self.evaluate_ks,
+                )
+        except Exception as exc:  # noqa: BLE001 - job isolation
+            self._finish_failed(job, f"evaluate failed: {exc!r}")
+            return
+        stage_seconds = {"plan": t_plan - t0, "solve": t_solve - t_plan}
+        if decoded is not None:
+            stage_seconds["decode"] = t_decode - t_solve
+        stage_seconds["evaluate"] = time.perf_counter() - t_decode
+        run = EngineRun(
+            result=result,
+            metrics=metrics,
+            stage_seconds=stage_seconds,
+            decoded=decoded,
+        )
+        job.mark_done(run)
+        with self._stats_lock:
+            self._counters["completed"] += 1
+            if job.latency_seconds is not None:
+                self._latencies.append(job.latency_seconds)
 
     def _finish_failed(self, job: Job, error: str) -> None:
         job.mark_failed(error)

@@ -4,7 +4,11 @@ The gate is what stands between a noisy re-recorded artefact and a
 silently regressed baseline, so its checks get pinned here: the
 ``check_scale`` gate added after a loaded-machine re-record documented
 the parallel partition path as slower than serial (block_speedup
-1.04 -> 0.75) without any CI step noticing.
+1.04 -> 0.75) without any CI step noticing, and the ``check_serve``
+gate against the re-record whose calibrated serve throughput fell
+from 0.038 to 0.026 pairs/reference while raw pairs/s rose.  The
+``check_solver`` gate must keep failing a real slowdown, including one
+hidden by a machine reference timed under a different BLAS team.
 """
 
 from __future__ import annotations
@@ -123,6 +127,164 @@ class TestCheckScale:
         baseline = _write(tmp_path / "base", base_payload)
         fresh = _write(tmp_path / "fresh", _scale_payload(block_speedup=0.1))
         assert _failures(baseline, fresh) == []
+
+
+def _serve_payload(
+    *,
+    pairs_per_second: float = 3.8,
+    reference_seconds: float = 0.01,
+    blas_threads: int | None = 1,
+    blas_thread_env: dict | None = None,
+    bitwise_equal: bool = True,
+) -> dict:
+    return {
+        "pairs_per_second": pairs_per_second,
+        "reference_seconds": reference_seconds,
+        "blas_threads": blas_threads,
+        "blas_thread_env": blas_thread_env or {},
+        "single_pair_bitwise_equal": bitwise_equal,
+        "cache": {"hit_rate": 0.8125},
+    }
+
+
+def _serve_failures(baseline_dir: Path, current_dir: Path):
+    return list(compare_bench.check_serve(baseline_dir, current_dir, 0.20))
+
+
+def _write_serve(directory: Path, payload: dict) -> Path:
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "BENCH_serve.json").write_text(json.dumps(payload))
+    return directory
+
+
+class TestCheckServe:
+    def test_calibrated_throughput_drop_fails(self, tmp_path):
+        # the loaded-machine re-record: raw pairs/s rose (3.53 -> 5.09)
+        # but pairs per reference workload fell 0.038 -> 0.026
+        baseline = _write_serve(
+            tmp_path / "base",
+            _serve_payload(pairs_per_second=3.53, reference_seconds=0.038 / 3.53),
+        )
+        fresh = _write_serve(
+            tmp_path / "fresh",
+            _serve_payload(pairs_per_second=5.09, reference_seconds=0.026 / 5.09),
+        )
+        failures = _serve_failures(baseline, fresh)
+        assert len(failures) == 1
+        assert "serve bench regressed: 0.026" in failures[0]
+
+    def test_clean_run_passes(self, tmp_path):
+        baseline = _write_serve(tmp_path / "base", _serve_payload())
+        fresh = _write_serve(
+            tmp_path / "fresh", _serve_payload(pairs_per_second=3.5)
+        )
+        assert _serve_failures(baseline, fresh) == []
+
+    def test_multi_thread_blas_without_override_fails(self, tmp_path):
+        fresh = _write_serve(tmp_path / "fresh", _serve_payload(blas_threads=2))
+        failures = _serve_failures(tmp_path / "nobase", fresh)
+        assert len(failures) == 1
+        assert "BLAS ran 2 thread(s)" in failures[0]
+
+    def test_environment_override_allows_any_team(self, tmp_path):
+        fresh = _write_serve(
+            tmp_path / "fresh",
+            _serve_payload(
+                blas_threads=2, blas_thread_env={"OPENBLAS_NUM_THREADS": "2"}
+            ),
+        )
+        assert _serve_failures(tmp_path / "nobase", fresh) == []
+
+    def test_unknown_team_on_an_unsupported_build_is_noted(self, tmp_path, capsys):
+        fresh = _write_serve(tmp_path / "fresh", _serve_payload(blas_threads=None))
+        assert _serve_failures(tmp_path / "nobase", fresh) == []
+        assert "BLAS team size unknown" in capsys.readouterr().out
+
+    def test_missing_blas_threads_fails(self, tmp_path):
+        payload = _serve_payload()
+        del payload["blas_threads"]
+        fresh = _write_serve(tmp_path / "fresh", payload)
+        failures = _serve_failures(tmp_path / "nobase", fresh)
+        assert failures == ["serve bench: no blas_threads recorded"]
+
+    def test_baseline_under_a_different_blas_team_fails(self, tmp_path):
+        baseline = _write_serve(tmp_path / "base", _serve_payload(blas_threads=2))
+        fresh = _write_serve(tmp_path / "fresh", _serve_payload())
+        failures = _serve_failures(baseline, fresh)
+        assert len(failures) == 1
+        assert "baseline calibrated under 2 BLAS thread(s)" in failures[0]
+
+    def test_bitwise_divergence_fails(self, tmp_path):
+        fresh = _write_serve(
+            tmp_path / "fresh", _serve_payload(bitwise_equal=False)
+        )
+        failures = _serve_failures(tmp_path / "nobase", fresh)
+        assert any("diverged bitwise" in f for f in failures)
+
+
+def _solver_payload(
+    *,
+    fit_seconds: float = 0.70,
+    backend_fit_seconds: dict | None = None,
+    reference_seconds: float = 0.0100,
+    blas_threads: int | None = 1,
+) -> dict:
+    return {
+        "fit_seconds": fit_seconds,
+        "reference_seconds": reference_seconds,
+        "blas_threads": blas_threads,
+        "backend_fit_seconds": backend_fit_seconds
+        or {"fused-dense": 0.68, "batched-restart": 0.60},
+    }
+
+
+def _solver_failures(baseline: dict, fresh: dict, tmp_path: Path):
+    for name, payload in (("base", baseline), ("fresh", fresh)):
+        (tmp_path / name).mkdir(parents=True, exist_ok=True)
+        (tmp_path / name / "BENCH_solver.json").write_text(json.dumps(payload))
+    return list(
+        compare_bench.check_solver(tmp_path / "base", tmp_path / "fresh", 0.20)
+    )
+
+
+class TestCheckSolver:
+    def test_rerun_of_the_same_record_passes(self, tmp_path):
+        assert _solver_failures(_solver_payload(), _solver_payload(), tmp_path) == []
+
+    def test_pinned_slowdown_fails(self, tmp_path):
+        # every solve 1.3x slower on the same machine reference
+        fresh = _solver_payload(
+            fit_seconds=0.70 * 1.3,
+            backend_fit_seconds={"fused-dense": 0.68 * 1.3, "batched-restart": 0.60 * 1.3},
+        )
+        failures = _solver_failures(_solver_payload(), fresh, tmp_path)
+        assert len(failures) == 3
+        assert failures[0].startswith("solver microbench regressed")
+        assert any("backend batched-restart regressed" in f for f in failures)
+        assert any("backend fused-dense regressed" in f for f in failures)
+
+    def test_backend_only_slowdown_fails(self, tmp_path):
+        fresh = _solver_payload(
+            backend_fit_seconds={"fused-dense": 0.68, "batched-restart": 0.60 * 1.3}
+        )
+        failures = _solver_failures(_solver_payload(), fresh, tmp_path)
+        assert len(failures) == 1
+        assert "backend batched-restart regressed" in failures[0]
+
+    def test_reference_under_a_different_blas_team_fails(self, tmp_path):
+        # a baseline calibrated under a 2-thread team (0.607 s fit,
+        # 0.00606 s reference) against a one-thread run whose fit is
+        # 1.5x slower: the one-thread reference (0.00976 s) would hide
+        # the slowdown (93x vs 100x reference, an apparent speed-up)
+        baseline = _solver_payload(
+            fit_seconds=0.607, reference_seconds=0.00606, blas_threads=2
+        )
+        fresh = _solver_payload(
+            fit_seconds=0.607 * 1.5, reference_seconds=0.00976, blas_threads=1
+        )
+        failures = _solver_failures(baseline, fresh, tmp_path)
+        assert len(failures) == 1
+        assert "calibrated figures are not comparable" in failures[0]
 
 
 class TestGateWiring:

@@ -7,8 +7,8 @@ Three contracts keep reduced precision honest:
   ``"float32"`` routes to the separately-registered ``*-f32``
   backends, erroring with the choice-naming message on backends that
   have no reduced-precision variant;
-* **equivalence** — the float32 serial, batched, threaded and
-  coalesced schedules are all bitwise-identical to each other (the
+* **equivalence** — the float32 serial, batched and threaded
+  schedules are all bitwise-identical to each other (the
   per-slice GEMM/Sinkhorn contracts), so scheduling never compounds
   the precision change;
 * **parity** — float32 tracks the float64 reference within the
@@ -26,7 +26,6 @@ from repro.engine import (
     DEFAULT_PRECISION,
     backend_for_precision,
     ensure_precision,
-    solve_coalesced,
 )
 from repro.engine.precision import (
     FLOAT32,
@@ -174,27 +173,6 @@ class TestFloat32Equivalence:
             backend_options={"precision": "float32", "max_workers": 2},
         )
         np.testing.assert_array_equal(serial.plan, threaded.plan)
-
-    def test_coalesced_f32_matches_single_pair_solves(self):
-        """Heterogeneous float32 batches keep the per-slice bitwise
-        contract: each pair's plan is what its solo solve produces."""
-        pairs = [bench_pair(seed=s, n_per_block=9) for s in range(3)]
-        engine = AlignmentEngine(FAST, cache=None)
-        problems = [engine.plan(p.source, p.target) for p in pairs]
-        results = solve_coalesced(problems, precision="float32")
-        for pair, result in zip(pairs, results):
-            solo = solve(pair, backend="batched-f32")
-            np.testing.assert_array_equal(result.plan, solo.plan)
-            assert result.extras["precision"] == "float32"
-            assert result.extras["backend"] == "coalesced"
-
-    def test_coalesced_default_precision_unchanged(self):
-        pair = bench_pair(seed=4)
-        engine = AlignmentEngine(FAST, cache=None)
-        [result] = solve_coalesced([engine.plan(pair.source, pair.target)])
-        reference = solve(pair)
-        np.testing.assert_array_equal(result.plan, reference.plan)
-        assert "precision" not in result.extras
 
 
 class TestFloat32Parity:

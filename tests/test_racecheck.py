@@ -3,8 +3,7 @@
 The detector's own semantics first (inversion cycles, guarded-object
 access, the Condition protocol, module instrumentation scoping), then
 the concurrency contracts it exists to enforce: the PlanCache
-single-flight discipline and the JobQueue FIFO/take_matching surface
-run under instrumented locks with **zero** findings, and so does a
+single-flight discipline and the JobQueue FIFO surface run under instrumented locks with **zero** findings, and so does a
 full AlignmentService burst.
 """
 
@@ -306,11 +305,10 @@ class TestPlanCacheUnderRacecheck:
 
 
 class TestJobQueueUnderRacecheck:
-    def test_take_matching_stress_has_zero_findings(self):
-        """Producers put tagged items while consumers race get()
-        against selective take_matching() until the queue closes; the
-        queue's Condition discipline must stay inversion-free and every
-        guarded touch must hold the lock."""
+    def test_put_get_stress_has_zero_findings(self):
+        """Producers put tagged items while consumers race get() until
+        the queue closes; the queue's Condition discipline must stay
+        inversion-free and every guarded touch must hold the lock."""
         registry = RaceRegistry()
         with registry.instrument(jobs_mod):
             queue = jobs_mod.JobQueue()
@@ -325,17 +323,6 @@ class TestJobQueueUnderRacecheck:
                 for index in range(offset, total, 3):
                     queue.put(types.SimpleNamespace(tag=index % 4))
 
-            def matcher():
-                while True:
-                    grabbed = queue.take_matching(
-                        lambda item: item.tag in (1, 3), limit=4
-                    )
-                    with taken_lock:
-                        taken.extend(grabbed)
-                    if queue.closed and not grabbed and len(queue) == 0:
-                        return
-                    time.sleep(0.001)
-
             def getter():
                 while True:
                     item = queue.get(timeout=0.2)
@@ -349,11 +336,7 @@ class TestJobQueueUnderRacecheck:
             producers = [
                 threading.Thread(target=producer, args=(off,)) for off in range(3)
             ]
-            consumers = [
-                threading.Thread(target=matcher),
-                threading.Thread(target=matcher),
-                threading.Thread(target=getter),
-            ]
+            consumers = [threading.Thread(target=getter) for _ in range(3)]
             for thread in producers + consumers:
                 thread.start()
             for thread in producers:
@@ -377,8 +360,8 @@ class TestJobQueueUnderRacecheck:
 
 class TestServiceUnderRacecheck:
     def test_service_burst_has_zero_findings(self):
-        """The full serving path — submit, worker pool, coalescing,
-        shared plan cache, stats, stop — under instrumented locks in
+        """The full serving path — submit, worker pool, shared plan
+        cache, stats, stop — under instrumented locks in
         every participating module."""
         pairs = [bench_pair(seed=s) for s in range(3)]
         registry = RaceRegistry()
@@ -391,7 +374,7 @@ class TestServiceUnderRacecheck:
                 label="PlanCache",
             )
             service = service_mod.AlignmentService(
-                FAST, cache=cache, workers=2, max_batch=4
+                FAST, cache=cache, workers=2
             )
             with service:
                 jobs = [

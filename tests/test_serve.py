@@ -1,9 +1,9 @@
 """Tests for the alignment service (repro.serve).
 
-Covers the queue primitives (FIFO + selective extraction), admission
-control (graceful rejection with reasons), job ordering under a single
-worker, batch coalescing (engaged *and* bitwise-identical to direct
-engine runs), per-job failure isolation, and the stats/cache-sharing
+Covers the queue primitives, admission control (graceful rejection
+with reasons), job ordering under a single worker, served plans
+bitwise-identical to direct engine runs (also with overlapping
+workers), per-job failure isolation, and the stats/cache-sharing
 surface.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import SLOTAlignConfig
 from repro.datasets import make_semi_synthetic_pair
-from repro.engine import AlignmentEngine, PlanCache
+from repro.engine import AlignmentEngine, PlanCache, blas_threads
 from repro.graphs import stochastic_block_model
 from repro.graphs.features import community_bag_of_words
 from repro.serve import (
@@ -43,8 +43,8 @@ def bench_pair(seed=0, n_per_block=12):
     return make_semi_synthetic_pair(graph, edge_noise=0.1, seed=seed + 2)
 
 
-def direct_plan(pair, config=FAST):
-    return AlignmentEngine(config, cache=None).align(
+def direct_plan(pair, config=FAST, precision="float64"):
+    return AlignmentEngine(config, cache=None, precision=precision).align(
         pair.source, pair.target
     ).plan
 
@@ -63,18 +63,6 @@ class TestJobQueue:
         for job in jobs:
             queue.put(job)
         assert [queue.get() for _ in jobs] == jobs
-
-    def test_take_matching_preserves_remainder_order(self):
-        queue = JobQueue()
-        jobs = [make_job(seed=s, tag=f"j{s}") for s in range(6)]
-        for job in jobs:
-            queue.put(job)
-        taken = queue.take_matching(
-            lambda job: job.tag in ("j1", "j3", "j4"), limit=2
-        )
-        assert [job.tag for job in taken] == ["j1", "j3"]
-        remaining = [queue.get(timeout=0.1) for _ in range(4)]
-        assert [job.tag for job in remaining] == ["j0", "j2", "j4", "j5"]
 
     def test_close_drains_then_signals_shutdown(self):
         queue = JobQueue()
@@ -136,9 +124,7 @@ class TestServiceLifecycle:
 
     def test_fifo_completion_order_single_worker(self):
         pairs = [bench_pair(seed=s) for s in range(4)]
-        service = AlignmentService(
-            FAST, cache=PlanCache(), workers=1, coalesce=False
-        )
+        service = AlignmentService(FAST, cache=PlanCache(), workers=1)
         jobs = [service.submit(p.source, p.target) for p in pairs]
         with service:
             assert wait_all(jobs, timeout=120)
@@ -146,7 +132,6 @@ class TestServiceLifecycle:
         finished = [job.finished_at for job in jobs]
         assert finished == sorted(finished)
         assert all(job.batch_size == 1 for job in jobs)
-        assert service.stats()["solo_pairs"] == len(jobs)
 
     def test_evaluates_when_ground_truth_present(self):
         pair = bench_pair(seed=1)
@@ -169,50 +154,42 @@ class TestServiceLifecycle:
         assert all(job.state is JobState.DONE for job in jobs)
 
 
-class TestCoalescing:
-    def test_batch_engaged_and_bitwise_equal(self):
-        """Jobs queued together coalesce into one stacked solve whose
-        per-pair plans are bit-for-bit the direct engine's."""
-        pairs = [bench_pair(seed=s) for s in range(4)]
-        service = AlignmentService(
-            FAST, cache=PlanCache(), workers=1, max_batch=8
-        )
-        # submit *before* start so the worker sees the full backlog
-        jobs = [service.submit(p.source, p.target) for p in pairs]
-        with service:
-            assert wait_all(jobs, timeout=120)
-        for pair, job in zip(pairs, jobs):
-            assert job.state is JobState.DONE
-            assert job.batch_size == len(pairs)
-            result = job.result.result
-            assert result.extras["backend"] == "coalesced"
-            np.testing.assert_array_equal(result.plan, direct_plan(pair))
-        stats = service.stats()
-        assert stats["coalesced_batches"] == 1
-        assert stats["coalesced_pairs"] == len(pairs)
-
-    def test_incompatible_jobs_are_not_coalesced(self):
-        same = [bench_pair(seed=s) for s in range(2)]
-        small_graph = stochastic_block_model([8] * 3, 0.4, 0.02, seed=7)
-        small_graph = small_graph.with_features(
-            community_bag_of_words(
-                small_graph.node_labels, 30, words_per_node=6, seed=8
+class TestServedPlans:
+    def test_overlapping_burst_bitwise_equal_to_direct_engine(self):
+        """Two workers solving at the same time (one job in float32)
+        still serve every pair exactly the direct engine's plan."""
+        pairs = [bench_pair(seed=s) for s in range(3)]
+        service = AlignmentService(FAST, cache=PlanCache(), workers=2)
+        # submit *before* start so both workers find a backlog at once
+        jobs = [
+            (pair, "float64", service.submit(pair.source, pair.target))
+            for pair in pairs + pairs
+        ]
+        jobs.append(
+            (
+                pairs[0],
+                "float32",
+                service.submit(
+                    pairs[0].source, pairs[0].target, precision="float32"
+                ),
             )
         )
-        small_graph.node_labels = None
-        small = make_semi_synthetic_pair(small_graph, edge_noise=0.1, seed=9)
-        service = AlignmentService(
-            FAST, cache=PlanCache(), workers=1, max_batch=8
-        )
-        jobs = [service.submit(p.source, p.target) for p in same]
-        odd = service.submit(small.source, small.target)
         with service:
-            assert wait_all(jobs + [odd], timeout=120)
-        assert jobs[0].batch_size == 2
-        assert jobs[1].batch_size == 2
-        assert odd.batch_size == 1  # different shape: solved solo
+            assert wait_all([job for _, _, job in jobs], timeout=120)
+        overlapped = any(
+            a.started_at < b.finished_at and b.started_at < a.finished_at
+            for (_, _, a), (_, _, b) in zip(jobs, jobs[1:])
+        )
+        assert overlapped
+        for pair, precision, job in jobs:
+            assert job.state is JobState.DONE
+            assert job.batch_size == 1
+            np.testing.assert_array_equal(
+                job.result.result.plan, direct_plan(pair, precision=precision)
+            )
+        assert service.stats()["completed"] == len(jobs)
 
-    def test_max_batch_caps_coalescing(self):
+    def test_max_batch_is_accepted_and_ignored(self):
         pairs = [bench_pair(seed=s) for s in range(3)]
         service = AlignmentService(
             FAST, cache=PlanCache(), workers=1, max_batch=2
@@ -220,14 +197,13 @@ class TestCoalescing:
         jobs = [service.submit(p.source, p.target) for p in pairs]
         with service:
             assert wait_all(jobs, timeout=120)
-        assert sorted(job.batch_size for job in jobs) == [1, 2, 2]
+        assert all(job.state is JobState.DONE for job in jobs)
+        assert [job.batch_size for job in jobs] == [1, 1, 1]
 
-    def test_plan_failure_is_isolated_from_the_batch(self):
+    def test_plan_failure_is_isolated_to_its_job(self):
         pairs = [bench_pair(seed=s) for s in range(3)]
         bad_init = np.full((5, 5), 1.0 / 25)  # wrong shape for the pair
-        service = AlignmentService(
-            FAST, cache=PlanCache(), workers=1, max_batch=8
-        )
+        service = AlignmentService(FAST, cache=PlanCache(), workers=1)
         good = [service.submit(p.source, p.target) for p in pairs[:2]]
         bad = service.submit(
             pairs[2].source, pairs[2].target, init_plan=bad_init
@@ -318,3 +294,4 @@ class TestCacheSharing:
         assert stats["latency_seconds"]["p50"] > 0
         assert stats["latency_seconds"]["p99"] >= stats["latency_seconds"]["p50"]
         assert stats["cache"]["builds"] == 2
+        assert stats["blas_threads"] == blas_threads()

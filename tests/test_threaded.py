@@ -16,8 +16,8 @@ import pytest
 
 from repro.core import SLOTAlignConfig
 from repro.datasets import make_semi_synthetic_pair
-from repro.engine import AlignmentEngine
-from repro.engine.threaded import ThreadedRestartBackend, blas_thread_limit
+from repro.engine import AlignmentEngine, blas_threads
+from repro.engine.threaded import ThreadedRestartBackend
 from repro.graphs import stochastic_block_model
 from repro.graphs.features import community_bag_of_words
 from repro.ot.workspace import WorkspaceArena
@@ -95,11 +95,12 @@ class TestThreadingSurface:
         )
         info = result.extras["threading"]
         assert set(info) == {
-            "workers", "requested_workers", "cpus", "blas_threads_per_worker",
+            "workers", "requested_workers", "cpus", "blas_threads",
         }
         assert info["requested_workers"] == 2
         assert info["workers"] == 2
         assert info["cpus"] == available_cpus()
+        assert info["blas_threads"] == blas_threads()
         assert result.extras["precision"] == "float64"
 
     def test_default_width_is_capped_by_cpus_and_restarts(self):
@@ -115,15 +116,6 @@ class TestThreadingSurface:
             backend_options={"max_workers": 1},
         )
         assert result.extras["threading"]["workers"] == 1
-        assert result.extras["threading"]["blas_threads_per_worker"] is None
-
-    def test_blas_thread_limit_is_a_noop_without_threadpoolctl(self):
-        # the container does not ship threadpoolctl; the context must
-        # still be enterable with and without a limit
-        with blas_thread_limit(None):
-            pass
-        with blas_thread_limit(2):
-            pass
 
     def test_shared_arena_is_reusable_across_solves(self):
         arena = WorkspaceArena()
