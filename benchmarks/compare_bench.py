@@ -242,7 +242,8 @@ def check_serve(baseline_dir: Path, current_dir: Path, max_slowdown: float):
 
     The fresh file carries its own invariants (cache hits, the
     one-thread BLAS policy unless ``blas_thread_env`` records an
-    override or the build cannot report its team, bitwise fidelity) — those gate unconditionally.
+    override or the build cannot report its team, bitwise fidelity of
+    every served job) — those gate unconditionally.
     Throughput gates only against a committed baseline, normalised by
     each side's ``reference_seconds`` so machine speed cancels out:
     ``pairs_per_second × reference_seconds`` is pairs per reference
@@ -265,10 +266,12 @@ def check_serve(baseline_dir: Path, current_dir: Path, max_slowdown: float):
             f"serve bench: BLAS ran {fresh['blas_threads']} thread(s) "
             "with no environment override (one-thread policy not applied)"
         )
-    if fresh.get("single_pair_bitwise_equal") is not True:
+    if "every_job_bitwise_equal" not in fresh:
+        yield "serve bench: no every_job_bitwise_equal recorded"
+    elif fresh["every_job_bitwise_equal"] is not True:
         yield (
-            "serve bench: served plan diverged bitwise from the direct "
-            "engine run"
+            "serve bench: a served job's plan diverged bitwise from its "
+            "pair's direct engine run"
         )
     baseline = load(baseline_dir / "BENCH_serve.json")
     if baseline is None:

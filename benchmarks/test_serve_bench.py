@@ -10,10 +10,11 @@ BLAS team size) is machine-readable across PRs, alongside
 
 ``benchmarks/compare_bench.py`` gates on the fresh file: the cache hit
 rate must be positive, the BLAS team must be the one-thread policy
-(unless the environment overrides it), the single-pair bitwise check
-against a direct engine run must hold, and the calibrated pairs/sec
-must not regress against the committed baseline (machine-normalised
-via ``reference_seconds``, exactly like the solver gate).
+(unless the environment overrides it), the bitwise checks against a
+direct engine run (first job and every job) must hold, and the
+calibrated pairs/sec must not regress against the committed baseline
+(machine-normalised via ``reference_seconds``, exactly like the
+solver gate).
 """
 
 import json
@@ -42,18 +43,21 @@ def test_bench_serve_traffic(benchmark):
         lambda: run_serve_traffic(**TRAFFIC), iterations=1, rounds=1
     )
 
-    # the service-level invariants the PR's acceptance criteria name:
-    # every job completes, repeated pairs hit the shared plan cache,
+    # the service-level invariants: every job completes, repeated pairs
+    # hit the shared plan cache and share one solve per distinct pair,
     # BLAS runs the one-thread policy unless the environment sets the
-    # team, and serving is pure scheduling (bit-for-bit the direct
-    # engine's plan)
+    # team, and serving is pure scheduling (every job's plan is
+    # bit-for-bit the direct engine's plan for its pair)
     assert report["completed"] == TRAFFIC["n_jobs"]
     assert report["failed"] == 0 and report["rejected"] == 0
     assert report["cache"]["hit_rate"] > 0.0
     # (None: a BLAS build the policy cannot see; tests/test_blas.py
     # covers the bundled-OpenBLAS wheels)
     assert report["blas_threads"] in (1, None) or report["blas_thread_env"]
-    assert report["single_pair_bitwise_equal"] is True
+    assert report["every_job_bitwise_equal"] is True
+    # one solve per distinct request: the repeats share it
+    assert report["solves"] == TRAFFIC["n_distinct"]
+    assert report["shared_solves"] == TRAFFIC["n_jobs"] - TRAFFIC["n_distinct"]
     assert report["latency_ms"]["p50"] > 0.0
     assert report["latency_ms"]["p99"] >= report["latency_ms"]["p50"]
 

@@ -523,7 +523,7 @@ def _run_serve(args) -> int:
         iters=args.iters,
     )
     print(format_serve_report(report))
-    return 0 if report["single_pair_bitwise_equal"] else 1
+    return 0 if report["every_job_bitwise_equal"] else 1
 
 
 def _run_lint(args) -> int:

@@ -21,15 +21,21 @@ graphs hit the same entry no matter how they were loaded.
 Cached basis arrays are shared read-only, matching the contract of
 :class:`repro.core.objective.JointObjective` (which copies them into
 its contiguous stacks at construction).
+
+The same cache also holds **solved results** under a
+:func:`solve_key` (both graph digests, the full config, the initial
+coupling and the routed backend): the alignment service solves each
+distinct request once and shares the read-only plan.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -58,23 +64,26 @@ view-affecting knob must be added here and consumed in
 """
 
 
+def _key_part(value):
+    """Exact, hashable form of one config value.
+
+    Floats enter via ``float.hex()`` so a key is exact, not
+    repr-rounded; lists become tuples.
+    """
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return tuple(_key_part(item) for item in value)
+    return value
+
+
 def view_spec(config: SLOTAlignConfig) -> tuple:
     """The subset of the config that determines the structure bases.
 
     Two configs with equal view specs build bit-identical bases, so
     this tuple (plus the graph content digest) is the cache key.
-    Floats enter via ``float.hex()`` so the key is exact, not
-    repr-rounded.
     """
-    spec = []
-    for name in _VIEW_FIELDS:
-        value = getattr(config, name)
-        if isinstance(value, float):
-            value = value.hex()
-        elif isinstance(value, (list, tuple)):
-            value = tuple(value)
-        spec.append(value)
-    return tuple(spec)
+    return tuple(_key_part(getattr(config, name)) for name in _VIEW_FIELDS)
 
 
 def build_bases(graph: AttributedGraph, config: SLOTAlignConfig) -> list[np.ndarray]:
@@ -118,40 +127,90 @@ def graph_digest(graph: AttributedGraph) -> bytes:
     return digest.digest()
 
 
-class _InFlightBuild:
-    """Rendezvous for one in-progress basis construction.
+def solve_key(
+    digests: tuple[bytes, bytes],
+    config: SLOTAlignConfig,
+    init_plan: np.ndarray | None,
+    backend: str,
+    options: dict,
+) -> tuple:
+    """Content key of one solve: everything a backend's result depends on.
 
-    Waiters park on ``event``; the builder publishes either ``bases``
+    Both graphs' :func:`graph_digest` (``digests``, as held by
+    :attr:`PreparedProblem.digests`, so a served job hashes each graph
+    once), every config field (the dataclass itself is unhashable),
+    the initial coupling's bytes and the routed backend name plus
+    options.  Two requests with equal keys get bit-identical results
+    from a direct engine run, so one solve can serve both.
+    """
+    digest = hashlib.sha256()
+    if init_plan is None:
+        digest.update(b"\x00no-init-plan")
+    else:
+        # the plan stage reads the init plan as float64
+        plan = np.ascontiguousarray(init_plan, dtype=np.float64)
+        digest.update(np.asarray(plan.shape, dtype=np.int64).tobytes())
+        digest.update(plan.tobytes())
+    return (
+        "solve",
+        *digests,
+        tuple(_key_part(getattr(config, f.name)) for f in fields(config)),
+        digest.digest(),
+        backend,
+        tuple(sorted((name, _key_part(v)) for name, v in options.items())),
+    )
+
+
+def _plan_arrays(plan) -> list[np.ndarray]:
+    """The arrays holding a dense or CSR plan."""
+    if isinstance(plan, np.ndarray):
+        return [plan]
+    return [plan.data, plan.indices, plan.indptr]
+
+
+class _InFlight:
+    """Rendezvous for one in-progress build (bases or a solve).
+
+    Waiters park on ``event``; the builder publishes either ``value``
     (frozen, shared directly — valid even when the finished entry is
     too large to cache) or ``error`` before setting the event.
     """
 
-    __slots__ = ("event", "bases", "error")
+    __slots__ = ("event", "value", "error")
 
     def __init__(self):
         self.event = threading.Event()
-        self.bases: list[np.ndarray] | None = None
+        self.value = None
         self.error: BaseException | None = None
 
 
 class PlanCache:
-    """Content-keyed LRU cache of structure-basis lists.
+    """Content-keyed LRU cache of structure bases and solved results.
 
-    Entries are keyed on ``(graph_digest, view_spec)`` and evicted
-    least-recently-used once the held arrays exceed ``max_bytes``
-    (basis tensors dominate the footprint, so the budget is expressed
-    in bytes rather than entry counts).
+    Two kinds of entry share one byte budget:
+
+    * **bases** — a graph's structure-basis list, keyed on
+      ``(graph_digest, view_spec)`` (:meth:`bases_for`);
+    * **solves** — a solved :class:`~repro.core.result.AlignmentResult`,
+      keyed on :func:`solve_key` (:meth:`result_for`).
+
+    Entries are evicted least-recently-used once the held arrays exceed
+    ``max_bytes`` (basis tensors and plans dominate the footprint, so
+    the budget is expressed in bytes rather than entry counts).
 
     Thread-safe: the shared process-wide cache is reached from the
     scale pipeline's ``thread`` executor and the serving worker pool,
     so lookups, LRU bookkeeping and eviction run under one lock.
-    Basis *construction* happens outside the lock under a
-    **single-flight** discipline: the first requester of a key becomes
-    its builder, concurrent requesters park on a per-key event and
-    receive the builder's arrays when it publishes — a burst of
-    identical requests pays for exactly one kernel construction
-    (``builds`` counts actual constructions; ``misses`` counts
-    requests that found no ready entry, parked waiters included).
+    Construction happens outside the lock under a **single-flight**
+    discipline: the first requester of a key becomes its builder,
+    concurrent requesters park on a per-key event and receive the
+    builder's (frozen) value when it publishes — a burst of identical
+    requests pays for exactly one kernel construction and one solve.
+
+    :meth:`info` counts bases as ``hits`` / ``misses`` (requests that
+    found no ready entry, parked waiters included) / ``builds``
+    (actual constructions), and solves as ``solves`` (actual solves)
+    / ``solve_hits`` (requests served by another request's solve).
     """
 
     def __init__(self, max_bytes: int = 128 * 1024 * 1024):
@@ -159,12 +218,12 @@ class PlanCache:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, list[np.ndarray]] = OrderedDict()  #: guarded-by: _lock
+        # key -> (value, nbytes)
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()  #: guarded-by: _lock
         self._bytes = 0  #: guarded-by: _lock
-        self._in_flight: dict[tuple, _InFlightBuild] = {}  #: guarded-by: _lock
-        self.hits = 0  #: guarded-by: _lock
-        self.misses = 0  #: guarded-by: _lock
-        self.builds = 0  #: guarded-by: _lock
+        self._in_flight: dict[tuple, _InFlight] = {}  #: guarded-by: _lock
+        # per kind ("bases" / "solve"): hit, miss, build, shared counts
+        self._counts = {"bases": Counter(), "solve": Counter()}  #: guarded-by: _lock
 
     def __len__(self) -> int:
         with self._lock:
@@ -175,53 +234,104 @@ class PlanCache:
         with self._lock:
             return self._bytes
 
+    hits = property(lambda self: self.info()["hits"])
+    misses = property(lambda self: self.info()["misses"])
+    builds = property(lambda self: self.info()["builds"])
+
     def bases_for(
-        self, graph: AttributedGraph, config: SLOTAlignConfig
+        self,
+        graph: AttributedGraph,
+        config: SLOTAlignConfig,
+        digest: bytes | None = None,
     ) -> list[np.ndarray]:
         """Bases for one graph under one view spec, cached by content.
 
-        Returns a fresh list container per call (so callers may extend
-        it, as the KG pipeline does with relation views); the basis
-        arrays themselves are shared and must be treated as read-only.
-
-        Concurrent misses on one key are **single-flight**: exactly
-        one thread constructs the bases, the rest wait on the in-flight
-        build and share its (frozen) arrays — even when the entry is
-        too large to retain in the cache afterwards.
+        ``digest`` is the graph's :func:`graph_digest` when the caller
+        already holds it (computed here otherwise).  Returns a fresh
+        list container per call (so callers may extend it, as the KG
+        pipeline does with relation views); the basis arrays
+        themselves are shared and must be treated as read-only.
         """
-        key = (graph_digest(graph), view_spec(config))
+
+        def build() -> list[np.ndarray]:
+            bases = build_bases(graph, config)
+            for basis in bases:
+                basis.setflags(write=False)
+            return bases
+
+        if digest is None:
+            digest = graph_digest(graph)
+        bases, _ = self._get_or_build(
+            (digest, view_spec(config)),
+            build,
+            lambda bases: sum(basis.nbytes for basis in bases),
+            "bases",
+        )
+        return list(bases)
+
+    def result_for(self, key: tuple, solve) -> tuple[object, bool]:
+        """Solved result for ``key`` (see :func:`solve_key`), single-flight.
+
+        ``solve()`` runs only when no result for ``key`` is retained or
+        in flight.  Returns ``(result, shared)``: ``result`` is the
+        caller's own copy — the plan is shared and read-only, the
+        ``extras`` dict (β weights, history, timings) is a deep copy —
+        and ``shared`` is True when another request's solve produced
+        it.  A failed solve raises its error in every waiter and is
+        never retained.
+        """
+
+        def build():
+            result = solve()
+            for array in _plan_arrays(result.plan):
+                array.setflags(write=False)
+            return result
+
+        result, shared = self._get_or_build(
+            key,
+            build,
+            lambda result: sum(a.nbytes for a in _plan_arrays(result.plan)),
+            "solve",
+        )
+        return replace(result, extras=copy.deepcopy(result.extras)), shared
+
+    def _get_or_build(self, key: tuple, build, nbytes, kind: str):
+        """Single-flight get-or-build under the LRU byte budget.
+
+        Returns ``(value, shared)``; ``shared`` is False only for the
+        caller that ran ``build``.  ``build`` must freeze its value:
+        waiters receive it even when it is too large to retain, and an
+        in-place mutation would poison every content-equal request.
+        """
         while True:
             with self._lock:
-                cached = self._entries.get(key)
-                if cached is not None:
-                    self.hits += 1
+                counts = self._counts[kind]
+                entry = self._entries.get(key)
+                if entry is not None:
+                    counts["hit"] += 1
                     self._entries.move_to_end(key)
-                    return list(cached)
-                self.misses += 1
+                    return entry[0], True
+                counts["miss"] += 1
                 flight = self._in_flight.get(key)
                 if flight is None:
-                    flight = _InFlightBuild()
+                    flight = _InFlight()
                     self._in_flight[key] = flight
                     break  # this thread is the builder
             flight.event.wait()
             if flight.error is not None:
                 raise flight.error
-            if flight.bases is not None:
-                return list(flight.bases)
+            if flight.value is not None:
+                with self._lock:
+                    self._counts[kind]["shared"] += 1
+                return flight.value, True
             # builder vanished without publishing (should not happen);
             # loop and retry from the cache
         try:
-            bases = build_bases(graph, config)
-            for basis in bases:
-                # enforce the read-only contract before *any* sharing:
-                # waiters receive these arrays even when the entry is
-                # too large to cache, and an in-place mutation would
-                # silently poison every concurrent content-equal solve
-                basis.setflags(write=False)
+            value = build()
             with self._lock:
-                self.builds += 1
-                self._store(key, bases)
-            flight.bases = bases
+                self._counts[kind]["build"] += 1
+                self._store(key, value, nbytes(value))
+            flight.value = value
         except BaseException as exc:
             flight.error = exc
             raise
@@ -229,7 +339,7 @@ class PlanCache:
             with self._lock:
                 self._in_flight.pop(key, None)
             flight.event.set()
-        return list(bases)
+        return value, False
 
     def clear(self) -> None:
         with self._lock:
@@ -239,30 +349,32 @@ class PlanCache:
     def info(self) -> dict:
         """Hit/miss counters and current footprint, for diagnostics."""
         with self._lock:
+            bases, solve = self._counts["bases"], self._counts["solve"]
             return {
                 "entries": len(self._entries),
                 "bytes": self._bytes,
                 "max_bytes": self.max_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "builds": self.builds,
+                "hits": bases["hit"],
+                "misses": bases["miss"],
+                "builds": bases["build"],
+                "solves": solve["build"],
+                "solve_hits": solve["hit"] + solve["shared"],
             }
 
-    def _store(self, key: tuple, bases: list[np.ndarray]) -> None:  #: requires: _lock
+    def _store(self, key: tuple, value, size: int) -> None:  #: requires: _lock
         """Insert under the held lock, evicting LRU past the budget.
 
-        Arrays must already be frozen by the caller (the single-flight
-        builder freezes before any sharing happens).
+        The value must already be frozen by the caller (the
+        single-flight builder freezes before any sharing happens).
         """
         if key in self._entries:
-            return  # a concurrent miss already stored identical bases
-        size = sum(basis.nbytes for basis in bases)
+            return  # a concurrent miss already stored an identical value
         if size > self.max_bytes:
             return  # larger than the whole budget: never cached
         while self._bytes + size > self.max_bytes and self._entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= sum(basis.nbytes for basis in evicted)
-        self._entries[key] = list(bases)
+            _, (_, evicted) = self._entries.popitem(last=False)
+            self._bytes -= evicted
+        self._entries[key] = (value, size)
         self._bytes += size
 
 
@@ -333,6 +445,7 @@ class PreparedProblem:
     _bases: tuple[list[np.ndarray], list[np.ndarray]] | None = field(
         default=None, repr=False
     )
+    _digests: tuple[bytes, bytes] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.anchors is not None:
@@ -346,14 +459,22 @@ class PreparedProblem:
             self.anchors = anchors
 
     @property
+    def digests(self) -> tuple[bytes, bytes]:
+        """``(source, target)`` :func:`graph_digest`, hashed once per problem."""
+        if self._digests is None:
+            self._digests = (graph_digest(self.source), graph_digest(self.target))
+        return self._digests
+
+    @property
     def bases(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """``(source_bases, target_bases)``, built through the cache."""
         if self._bases is None:
             t0 = time.perf_counter()
             if self.cache is not None:
+                source_digest, target_digest = self.digests
                 built = (
-                    self.cache.bases_for(self.source, self.config),
-                    self.cache.bases_for(self.target, self.config),
+                    self.cache.bases_for(self.source, self.config, source_digest),
+                    self.cache.bases_for(self.target, self.config, target_digest),
                 )
             else:
                 built = (

@@ -4,9 +4,10 @@ The serving layer (ROADMAP item 1) wraps the unified engine in a
 long-lived, in-process service: :class:`AlignmentService` accepts
 alignment requests as :class:`Job` handles through a thread-safe FIFO
 :class:`JobQueue`, shares one content-keyed plan cache across all
-jobs, solves each job on its own (bit-for-bit equal to a direct
-engine run), and applies :class:`AdmissionPolicy` budgets at submit
-time with graceful rejection.  The ``repro serve`` CLI subcommand and
+jobs, runs one solve per distinct request (bit-for-bit equal to a
+direct engine run, shared by every job asking for it), and applies
+:class:`AdmissionPolicy` budgets at submit time with graceful
+rejection.  The ``repro serve`` CLI subcommand and
 the serving benchmark (``benchmarks/test_serve_bench.py``) drive it
 with synthetic traffic.
 """

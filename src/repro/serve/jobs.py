@@ -46,6 +46,12 @@ class Job:
     failure or rejection reason otherwise.  Timestamps are
     ``time.perf_counter`` readings, so latencies are exact per-process
     durations rather than wall-clock differences.
+
+    ``solve_shared`` is True when another job's solve served this job;
+    its ``stage_seconds["solve"]`` is then the wait for that shared
+    solve (near zero, one dictionary lookup, when the result was
+    already retained).  ``batch_size`` is always 1 (no solve stacks
+    jobs) and kept for callers that read it.
     """
 
     source: AttributedGraph
@@ -63,8 +69,8 @@ class Job:
     state: JobState = JobState.QUEUED
     result: object = None
     error: str | None = None
-    # jobs per solve; every job is solved on its own, so always 1
     batch_size: int = 1
+    solve_shared: bool = False
     submitted_at: float = field(default_factory=time.perf_counter)
     started_at: float | None = None
     finished_at: float | None = None

@@ -12,13 +12,18 @@ the heavy lifting:
   cache by default), so repeated or content-equal pairs pay kernel
   construction once, across jobs and across workers (the cache's
   single-flight discipline absorbs concurrent misses);
-* **one job per solve** — each worker solves one job at a time with
-  the configured backend, under the process-wide one-thread BLAS
-  policy (:mod:`repro.engine.blas`), so W workers keep W cores busy
-  and every served plan is bit-for-bit a direct
-  :class:`~repro.engine.AlignmentEngine` run.  Stacking queued pairs
-  into one lockstep solve was measured slower than solving them one
-  by one at this problem size, and was removed;
+* **one solve per distinct request** — a solve is a deterministic
+  function of its :func:`~repro.engine.planning.solve_key` (both
+  graphs' contents, the full config, the initial coupling, the routed
+  backend), so jobs with equal keys share one solve through the same
+  cache: the first becomes its owner, concurrent ones wait for it,
+  later ones reuse the retained result.  Each job still gets its own
+  result copy (around the shared, read-only plan), decode and
+  metrics.  Each worker solves with the configured backend under the
+  process-wide one-thread BLAS policy (:mod:`repro.engine.blas`), so
+  W workers keep W cores busy and every served plan is bit-for-bit a
+  direct :class:`~repro.engine.AlignmentEngine` run.  Without a cache
+  (``cache=None``) every job runs its own solve;
 * **admission control** — every submit is reviewed by an
   :class:`~repro.serve.budget.AdmissionPolicy`; over-budget requests
   complete immediately as ``REJECTED`` with a reason instead of
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 
 import numpy as np
 
@@ -52,6 +58,7 @@ from repro.engine.planning import (
     PlanCache,
     prepare_problem,
     shared_plan_cache,
+    solve_key,
 )
 from repro.graphs.graph import AttributedGraph
 from repro.serve.budget import AdmissionPolicy
@@ -78,8 +85,10 @@ class AlignmentService:
     backend:
         Solver backend every job is solved with.
     cache:
-        :class:`PlanCache` shared by every job.  Defaults to the
-        process-wide shared cache; pass ``None`` to disable caching.
+        :class:`PlanCache` shared by every job, for structure bases and
+        for solved results.  Defaults to the process-wide shared cache;
+        pass ``None`` to disable caching (every job then runs its own
+        solve).
     policy:
         :class:`AdmissionPolicy` reviewed at submit time.
     workers:
@@ -141,6 +150,10 @@ class AlignmentService:
             "completed": 0,
             "failed": 0,
             "rejected": 0,
+            # solves this service ran, and jobs served by another
+            # job's solve instead
+            "solves": 0,
+            "shared_solves": 0,
         }
         self._latencies: list[float] = []  #: guarded-by: _stats_lock
 
@@ -271,7 +284,17 @@ class AlignmentService:
             job = self._queue.get()
             if job is None:
                 return  # queue closed and drained
-            self._run_job(job)
+            try:
+                self._run_job(job)
+            except Exception as exc:  # noqa: BLE001 - keep the worker alive
+                # a fault outside the staged handlers is a service bug:
+                # fail this job alone, with the traceback, and keep
+                # serving
+                if not job.done:
+                    self._finish_failed(
+                        job,
+                        f"internal error: {exc!r}\n{traceback.format_exc()}",
+                    )
 
     def _run_job(self, job: Job) -> None:
         # each stage fails this job alone, with the stage named
@@ -289,17 +312,33 @@ class AlignmentService:
             # validate the initial coupling in the plan stage, so a
             # malformed init plan reads as a plan failure
             problem.initial_coupling(*problem.marginals())
+            name, extra = backend_for_precision(self.backend, job.precision)
+            key = None
+            if self.cache is not None:
+                key = solve_key(
+                    problem.digests, job.config, job.init_plan, name, extra
+                )
         except Exception as exc:  # noqa: BLE001 - job isolation
             self._finish_failed(job, f"plan failed: {exc!r}")
             return
         t_plan = time.perf_counter()
         try:
-            name, extra = backend_for_precision(self.backend, job.precision)
-            result = get_backend(name, **extra).solve(problem)
+            backend = get_backend(name, **extra)
+            if key is None:
+                result, shared = backend.solve(problem), False
+            else:
+                # a shared job's solve stage is its wait for the owner's
+                # solve (a dictionary lookup on a retained result)
+                result, shared = self.cache.result_for(
+                    key, lambda: backend.solve(problem)
+                )
         except Exception as exc:  # noqa: BLE001 - job isolation
             self._finish_failed(job, f"solve failed: {exc!r}")
             return
         t_solve = time.perf_counter()
+        job.solve_shared = shared
+        with self._stats_lock:
+            self._counters["shared_solves" if shared else "solves"] += 1
         decoded = None
         try:
             if job.decoder is not None:

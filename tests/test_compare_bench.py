@@ -142,7 +142,7 @@ def _serve_payload(
         "reference_seconds": reference_seconds,
         "blas_threads": blas_threads,
         "blas_thread_env": blas_thread_env or {},
-        "single_pair_bitwise_equal": bitwise_equal,
+        "every_job_bitwise_equal": bitwise_equal,
         "cache": {"hit_rate": 0.8125},
     }
 
@@ -219,7 +219,17 @@ class TestCheckServe:
             tmp_path / "fresh", _serve_payload(bitwise_equal=False)
         )
         failures = _serve_failures(tmp_path / "nobase", fresh)
-        assert any("diverged bitwise" in f for f in failures)
+        assert failures == [
+            "serve bench: a served job's plan diverged bitwise from its "
+            "pair's direct engine run"
+        ]
+
+    def test_missing_every_job_check_fails(self, tmp_path):
+        payload = _serve_payload()
+        del payload["every_job_bitwise_equal"]
+        fresh = _write_serve(tmp_path / "fresh", payload)
+        failures = _serve_failures(tmp_path / "nobase", fresh)
+        assert failures == ["serve bench: no every_job_bitwise_equal recorded"]
 
 
 def _solver_payload(

@@ -275,7 +275,7 @@ class TestPlanCacheUnderRacecheck:
             cache = planning_mod.PlanCache()
             registry.guard(
                 cache,
-                ("_entries", "_bytes", "_in_flight", "hits", "misses", "builds"),
+                ("_entries", "_bytes", "_in_flight", "_counts"),
                 cache._lock,
                 label="PlanCache",
             )
@@ -369,7 +369,7 @@ class TestServiceUnderRacecheck:
             cache = planning_mod.PlanCache()
             registry.guard(
                 cache,
-                ("_entries", "_bytes", "_in_flight", "hits", "misses", "builds"),
+                ("_entries", "_bytes", "_in_flight", "_counts"),
                 cache._lock,
                 label="PlanCache",
             )
