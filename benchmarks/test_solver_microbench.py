@@ -37,8 +37,8 @@ BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_solver.json"
 def _merge_into_bench(new_keys: dict) -> None:
     """Merge keys into ``BENCH_solver.json`` without dropping cohorts.
 
-    Two tests write the artefact (the solver fit and the decode/dedup
-    timings); each asserts only its own keys over whatever the other
+    Several tests write the artefact (the solver fit, the decode
+    timings, precision and threading); each asserts only its own keys over whatever the other
     already recorded, the ``BENCH_fidelity.json`` discipline.
     """
     payload = {}
@@ -186,14 +186,12 @@ def test_bench_slotalign_fit(benchmark):
     assert BENCH_JSON.exists()
 
 
-def test_bench_decode_and_dedup(benchmark):
-    """Decode-stage and dedup-backend timings; extends ``BENCH_solver.json``.
+def test_bench_decode(benchmark):
+    """Decode-stage timings; extends ``BENCH_solver.json``.
 
-    One solve of the bench problem feeds every registered decoder (the
-    stage-3 cost is the entire marginal price of a better matching —
-    it must stay orders of magnitude below the solve), and the dedup
-    backends are timed against their dedup-off twins, recording merge
-    counts and freed iteration budget.
+    One solve of the bench problem feeds every registered decoder: the
+    stage-3 cost is the entire marginal price of a better matching, so
+    it must stay orders of magnitude below the solve.
     """
     from repro.engine import available_decoders, get_decoder
 
@@ -218,33 +216,7 @@ def test_bench_decode_and_dedup(benchmark):
         # decoding must be a rounding error next to the solve it reuses
         assert decoded.decode_seconds < max(solve_seconds, 0.05)
 
-    dedup = {}
-    for base_name, dedup_name in (
-        ("fused-dense", "fused-dense-dedup"),
-        ("batched-restart", "batched-dedup"),
-    ):
-        times = {}
-        extras = None
-        for backend in (base_name, dedup_name):
-            t0 = time.perf_counter()
-            out = AlignmentEngine(cfg, backend=backend, cache=None).align(
-                pair.source, pair.target
-            )
-            times[backend] = time.perf_counter() - t0
-            if backend == dedup_name:
-                extras = out.extras.get("dedup", {})
-        dedup[dedup_name] = {
-            "fit_seconds": times[dedup_name],
-            "base_fit_seconds": times[base_name],
-            "merges": len(extras.get("merges", [])),
-            "freed_iterations": extras.get("freed_iterations", 0),
-            "extension": extras.get("extension", 0),
-            "tolerance": extras.get("tolerance"),
-        }
-
-    _merge_into_bench(
-        {"decode_seconds": decode_seconds, "dedup": dedup}
-    )
+    _merge_into_bench({"decode_seconds": decode_seconds})
     assert BENCH_JSON.exists()
 
 

@@ -6,9 +6,11 @@ Every alignment in the library decomposes into four explicit stages:
    construction behind a content-keyed cache, the marginals and the
    initial coupling;
 2. **solve** (:mod:`repro.engine.backends`) — a registry of solver
-   backends: the reference serial ``fused-dense`` portfolio, the
-   bitwise-equal stacked ``batched-restart`` portfolio, and the
-   ``sparse`` divide-and-conquer pipeline;
+   backends: the reference serial ``fused-dense`` portfolio, its
+   bitwise-equal lockstep (``batched-restart``) and thread-pool
+   (``threaded-restart``) schedules, the float32 ``batched-f32``, the
+   ``partial-*`` backends and the ``sparse`` divide-and-conquer
+   pipeline;
 3. **decode** (:mod:`repro.engine.decode`) — a registry of plan
    decoders (``row-argmax`` / ``mutual-argmax`` / ``hungarian`` /
    ``mea``) turning the transport-plan posterior into a discrete

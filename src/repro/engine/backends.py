@@ -9,6 +9,13 @@ and returns a result object carrying a plan:
 * ``batched-restart`` — the same portfolio executed in lockstep with
   the restarts stacked into ``(R, n, m)`` tensors, bit-for-bit equal
   to the serial loop (see :mod:`repro.engine.batched`).
+* ``threaded-restart`` — the same portfolio with the restarts fanned
+  across a thread pool, bit-for-bit equal at any width
+  (:mod:`repro.engine.threaded`).
+* ``batched-f32`` — the lockstep portfolio stepped in float32, the
+  target of ``precision="float32"`` (:mod:`repro.engine.mixed`).
+* ``partial-dummy`` / ``partial-unbalanced`` — partial-overlap
+  portfolios (:mod:`repro.engine.partial`).
 * ``sparse`` — the divide-and-conquer pipeline of :mod:`repro.scale`:
   partition, per-block dense solves (each routed back through this
   engine), sparse stitching and boundary repair.  Returns a
@@ -22,17 +29,9 @@ verbatim.
 
 from __future__ import annotations
 
-from repro.core.objective import JointObjective
 from repro.engine.planning import PreparedProblem
-from repro.engine.restarts import (
-    DEDUP_TOL_START,
-    portfolio_phase_timings,
-    portfolio_result,
-    run_portfolio,
-    run_portfolio_dedup,
-)
+from repro.engine.restarts import RestartRun, solve_portfolio, step_serially
 from repro.exceptions import ConfigError
-from repro.utils.timer import Timer
 
 _REGISTRY: dict[str, tuple[type, str]] = {}
 
@@ -155,79 +154,15 @@ class FusedDenseBackend:
     def solve(self, problem: PreparedProblem):
         cfg = problem.config
         ensure_classical_problem(problem, self.name)
-        with Timer() as timer:
-            source_bases, target_bases = problem.bases
-            k = len(source_bases)
-            objective = JointObjective(
-                source_bases, target_bases, fused=cfg.fused_contractions
-            )
-            mu, nu = problem.marginals()
-            plan0, informative_init = problem.initial_coupling(mu, nu)
-            runs, outcomes, best, checkpoints = run_portfolio(
-                objective, cfg, plan0, mu, nu, informative_init
-            )
-        return portfolio_result(
-            self.name, outcomes, best, k, checkpoints,
-            portfolio_phase_timings(runs, problem.basis_seconds),
-            runtime=timer.elapsed,
-        )
 
+        def setup(objective, mu, nu, plan0, starts):
+            runs = [
+                RestartRun(objective, cfg, beta0, learn, plan0, mu, nu, label)
+                for label, beta0, learn in starts
+            ]
+            return runs, step_serially
 
-class FusedDenseDedupBackend(FusedDenseBackend):
-    """Serial portfolio with restart-trajectory dedup.
-
-    Same restarts, same pruning checkpoints as ``fused-dense``, plus
-    :func:`~repro.engine.restarts.dedup_schedule` checkpoints where
-    restarts whose couplings have converged onto an earlier restart's
-    (within the :func:`~repro.engine.restarts.dedup_tolerance`
-    schedule, decaying from ``dedup_tol_start`` to the ``dedup_tol``
-    floor) are dropped and their remaining iteration budget is split
-    among the survivors — on the solver bench the clone cluster
-    (uniform/node/node-frozen) plateaus near relative distance 1e-3,
-    which the old fixed 1e-5 never caught.  A merge changes which
-    trajectories run (and lets survivors exceed ``max_outer_iter``),
-    so per the registry's never-silently-replace rule this is a new
-    name; with no merge firing the output is bit-for-bit
-    ``fused-dense``.
-    """
-
-    name = "fused-dense-dedup"
-    kind = "dense"
-
-    def __init__(
-        self,
-        dedup_tol: float = 1e-5,
-        dedup_interval: int | None = None,
-        dedup_tol_start: float = DEDUP_TOL_START,
-    ):
-        self.dedup_tol = dedup_tol
-        self.dedup_interval = dedup_interval
-        self.dedup_tol_start = dedup_tol_start
-
-    def solve(self, problem: PreparedProblem):
-        cfg = problem.config
-        ensure_classical_problem(problem, self.name)
-        with Timer() as timer:
-            source_bases, target_bases = problem.bases
-            k = len(source_bases)
-            objective = JointObjective(
-                source_bases, target_bases, fused=cfg.fused_contractions
-            )
-            mu, nu = problem.marginals()
-            plan0, informative_init = problem.initial_coupling(mu, nu)
-            runs, outcomes, best, checkpoints, dedup_info = run_portfolio_dedup(
-                objective, cfg, plan0, mu, nu, informative_init,
-                dedup_tol=self.dedup_tol,
-                dedup_interval=self.dedup_interval,
-                dedup_tol_start=self.dedup_tol_start,
-            )
-        result = portfolio_result(
-            self.name, outcomes, best, k, checkpoints,
-            portfolio_phase_timings(runs, problem.basis_seconds),
-            runtime=timer.elapsed,
-        )
-        result.extras["dedup"] = dedup_info
-        return result
+        return solve_portfolio(self.name, problem, setup)
 
 
 class SparsePartitionBackend:
@@ -284,8 +219,8 @@ class SparsePartitionBackend:
 def _register_builtin_backends() -> None:
     # imported here so the registry owns the import-order: batched.py
     # and partial.py import this module for register_backend
-    from repro.engine.batched import BatchedDedupBackend, BatchedRestartBackend
-    from repro.engine.mixed import BatchedF32Backend, FusedDenseF32Backend
+    from repro.engine.batched import BatchedRestartBackend
+    from repro.engine.mixed import BatchedF32Backend
     from repro.engine.partial import (
         PartialDummyBackend,
         PartialUnbalancedBackend,
@@ -305,28 +240,10 @@ def _register_builtin_backends() -> None:
         "bitwise-equal to fused-dense",
     )
     register_backend(
-        FusedDenseDedupBackend.name,
-        FusedDenseDedupBackend,
-        "fused-dense with restart-trajectory dedup: converged-identical "
-        "restarts merge and bequeath their iteration budget",
-    )
-    register_backend(
-        BatchedDedupBackend.name,
-        BatchedDedupBackend,
-        "batched-restart with restart-trajectory dedup, merge-for-merge "
-        "equal to fused-dense-dedup",
-    )
-    register_backend(
-        FusedDenseF32Backend.name,
-        FusedDenseF32Backend,
-        "serial restart portfolio stepped in float32 against a "
-        "preallocated workspace; decisions re-evaluated in float64",
-    )
-    register_backend(
         BatchedF32Backend.name,
         BatchedF32Backend,
-        "lockstep-batched float32 portfolio, bitwise-equal to "
-        "fused-dense-f32",
+        "lockstep-batched restart portfolio stepped in float32 against a "
+        "preallocated workspace; decisions re-evaluated in float64",
     )
     register_backend(
         ThreadedRestartBackend.name,

@@ -26,10 +26,10 @@ in float32 through ``out=``-targeted calls into workspace buffers.
 
 Equivalence contract
 --------------------
-``fused-dense-f32`` advances each run one at a time and
-``batched-f32`` advances them in lockstep, but both express every
-contraction as *per-slice* GEMMs into stack buffers, so the two
-backends are bit-for-bit identical to **each other** (pinned by
+``batched-f32`` advances the runs in lockstep and float32
+``threaded-restart`` advances them one at a time, but both express
+every contraction as *per-slice* GEMMs into stack buffers, so the two
+schedules are bit-for-bit identical to **each other** (pinned by
 ``tests/test_precision.py``) while both differ from the float64
 reference by rounding.  The lockstep object is safe for concurrent
 ``advance`` calls over *disjoint* run sets: all mutable scratch lives
@@ -44,72 +44,46 @@ import time
 import numpy as np
 
 from repro.core.config import SLOTAlignConfig
-from repro.core.convergence import IterateHistory
 from repro.core.objective import JointObjective
-from repro.core.result import AlignmentResult
 from repro.engine.precision import FLOAT32, SolverPrecision, ensure_precision
 from repro.engine.restarts import (
+    Lockstep,
+    RestartRun,
     RunOutcome,
     eta_schedule,
-    portfolio_phase_timings,
-    portfolio_result,
-    run_portfolio,
+    solve_portfolio,
 )
 from repro.exceptions import ConvergenceError
 from repro.ot.simplex import project_concatenated_simplices
 from repro.ot.sinkhorn import _flush_constants, sinkhorn_log_kernel_fast_workspace
 from repro.ot.workspace import WorkspaceArena
-from repro.utils.timer import Timer
 
 
-class MixedRun:
+class MixedRun(RestartRun):
     """One restart stepped in reduced precision.
 
-    Interface-compatible with :class:`repro.engine.restarts.RestartRun`
-    (``step_until`` / ``current_objective`` / ``prune`` / ``outcome`` /
-    ``active``), so the serial portfolio scheduler drives it
-    unchanged.  The plan iterate lives in a per-run float32 buffer;
-    stepping is delegated to the shared :class:`_MixedLockstep`.
+    The reference run state with the plan iterate held in a per-run
+    float32 buffer; stepping is delegated to the shared
+    :class:`_MixedLockstep`, and objective reads and outcomes cast the
+    plan back to float64.
     """
 
     def __init__(
         self,
         lockstep: "_MixedLockstep",
-        objective: JointObjective,
-        config: SLOTAlignConfig,
         beta0: np.ndarray,
         learn_weights: bool,
         plan0: np.ndarray,
         label: str,
     ):
+        super().__init__(
+            lockstep.objective, lockstep.config, beta0, learn_weights,
+            plan0, lockstep.mu, lockstep.nu, label,
+        )
         self._lockstep = lockstep
-        self.objective = objective
-        self.config = config
-        self.learn_weights = learn_weights
-        self.label = label
-        self.k = objective.n_bases
-        beta0 = np.asarray(beta0, dtype=np.float64)
-        self.alpha = np.concatenate([beta0, beta0])
         self.plan = np.array(plan0, dtype=lockstep.dtype)
-        self.history = IterateHistory()
-        self.iteration = 0
-        self.pruned = False
-        self.pruned_at: int | None = None
-        self.deduped = False
-        self.merged_into: str | None = None
-        self.max_iterations = config.max_outer_iter
-        self.elapsed = 0.0
-        self.timings = {"alpha_update": 0.0, "pi_update": 0.0, "objective_eval": 0.0}
 
     # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        return self.history.converged or self.iteration >= self.max_iterations
-
-    @property
-    def active(self) -> bool:
-        return not self.pruned and not self.finished
-
     def step_until(self, target_iteration: int) -> None:
         self._lockstep.advance([self], target_iteration)
 
@@ -127,26 +101,14 @@ class MixedRun:
         self.timings["objective_eval"] += time.perf_counter() - t0
         return value
 
-    def prune(self) -> None:
-        self.pruned = True
-        self.pruned_at = self.iteration
-
     def outcome(self) -> RunOutcome:
-        return RunOutcome(
-            plan=self.plan.astype(np.float64),
-            alpha=self.alpha,
-            objective=self.current_objective(),
-            history=self.history,
-            label=self.label,
-            pruned=self.pruned,
-            iterations=self.iteration,
-            deduped=self.deduped,
-            merged_into=self.merged_into,
-        )
+        outcome = super().outcome()
+        outcome.plan = self.plan.astype(np.float64)
+        return outcome
 
 
-class _MixedLockstep:
-    """Steps stacks of :class:`MixedRun` against leased workspaces.
+class _MixedLockstep(Lockstep):
+    """Steps stacks of one pair's :class:`MixedRun` against leased workspaces.
 
     One instance per solve.  Holds no per-step mutable state of its
     own: every scratch array comes from the arena's per-thread
@@ -156,6 +118,7 @@ class _MixedLockstep:
 
     def __init__(
         self,
+        objective: JointObjective,
         config: SLOTAlignConfig,
         mu: np.ndarray,
         nu: np.ndarray,
@@ -163,6 +126,7 @@ class _MixedLockstep:
         precision: str | SolverPrecision = FLOAT32,
         arena: WorkspaceArena | None = None,
     ):
+        self.objective = objective
         self.config = config
         self.precision = ensure_precision(precision)
         self.dtype = self.precision.dtype
@@ -178,33 +142,19 @@ class _MixedLockstep:
         _, self.log_tiny = _flush_constants(self.dtype)
 
     # ------------------------------------------------------------------
-    def advance(self, runs, target_iteration: int, limit: int | None = None) -> None:
-        """Advance ``runs`` toward ``target_iteration`` in lockstep."""
-        steps = 0
-        while limit is None or steps < limit:
-            active = [
-                run
-                for run in runs
-                if run.active
-                and run.iteration < min(target_iteration, run.max_iterations)
-            ]
-            if not active:
-                return
-            self._step_all(active)
-            steps += 1
-
-    # ------------------------------------------------------------------
     def _step_all(self, active) -> None:  #: pinned
         """One outer iteration for every run in ``active``.
 
         Every contraction is a per-slice GEMM/ufunc into a workspace
         stack buffer, so a batch step and the equivalent sequence of
         single-run steps issue identical instruction sequences — the
-        basis of the ``fused-dense-f32`` ↔ ``batched-f32`` bitwise
-        contract (pinned by ``repro lint``; divergent variants register
-        a new backend name).
+        basis of the ``batched-f32`` ↔ float32 ``threaded-restart``
+        bitwise contract (pinned by ``repro lint``; divergent variants
+        register a new backend name).
         """
         cfg = self.config
+        objective = self.objective
+        k = objective.n_bases
         r = len(active)
         ws = self.arena.lease(self.capacity, self.n, self.m, self.dtype)
         ws.set_marginals(self.mu, self.nu)
@@ -222,9 +172,8 @@ class _MixedLockstep:
         learn_prefix = learn == list(range(n_learn))
         for _ in range(cfg.alpha_steps if learn else 0):
             for i in learn:
-                run = active[i]
                 alpha = new_alphas[i]
-                d_s, d_t = run.objective.combined(alpha[:run.k], alpha[run.k:])
+                d_s, d_t = objective.combined(alpha[:k], alpha[k:])
                 np.copyto(ws.d_s[i], d_s, casting="same_kind")
                 np.copyto(ws.d_t[i], d_t, casting="same_kind")
             if learn_prefix:
@@ -241,12 +190,9 @@ class _MixedLockstep:
                     np.matmul(plans[i].T, ws.d_s[i], out=ws.tp[i])
                     np.matmul(ws.tp[i], plans[i], out=ws.transported_s[i])
             for i in learn:
-                run = active[i]
-                obj = run.objective
-                k = run.k
                 alpha = new_alphas[i]
-                stack_s = ws.cast("source_stack", obj.source_stack)
-                stack_t = ws.cast("target_stack", obj.target_stack)
+                stack_s = ws.cast("source_stack", objective.source_stack)
+                stack_t = ws.cast("target_stack", objective.target_stack)
                 cross_s = np.einsum(
                     "qij,ij->q",
                     stack_s,
@@ -260,10 +206,12 @@ class _MixedLockstep:
                     optimize=ws.einsum_path("qij,ij->q", stack_t, ws.transported_s[i]),
                 ).astype(np.float64)
                 grad_s = (
-                    2.0 / obj.n**2 * (obj.gram_source @ alpha[:k]) - 2.0 * cross_s
+                    2.0 / objective.n**2 * (objective.gram_source @ alpha[:k])
+                    - 2.0 * cross_s
                 )
                 grad_t = (
-                    2.0 / obj.m**2 * (obj.gram_target @ alpha[k:]) - 2.0 * cross_t
+                    2.0 / objective.m**2 * (objective.gram_target @ alpha[k:])
+                    - 2.0 * cross_t
                 )
                 grad = np.concatenate([grad_s, grad_t])
                 if cfg.tie_weights:
@@ -273,21 +221,20 @@ class _MixedLockstep:
                     alpha - cfg.structure_lr * grad, k
                 )
         t1 = time.perf_counter()
-        for i, run in enumerate(active):
+        for i in range(r):
             alpha = new_alphas[i]
-            d_s, d_t = run.objective.combined(alpha[:run.k], alpha[run.k:])
+            d_s, d_t = objective.combined(alpha[:k], alpha[k:])
             np.copyto(ws.d_s[i], d_s, casting="same_kind")
             np.copyto(ws.d_t[i], d_t, casting="same_kind")
         etas = np.array(
             [eta_schedule(cfg, run.iteration) for run in active], dtype=self.dtype
         ).reshape(r, 1, 1)
-        fused_rows = [run.objective.fused for run in active]
-        if all(fused_rows):
+        if objective.fused:
             # symmetric bases: ∂F/∂π = −4 D_s π D_t, whole stack at once
             np.matmul(ws.d_s[:r], plans, out=ws.sp[:r])
             np.matmul(ws.sp[:r], ws.d_t[:r], out=ws.grad[:r])
             np.multiply(ws.grad[:r], -4.0, out=ws.grad[:r])
-        elif not any(fused_rows):
+        else:
             # general: −2 (D_s π D_tᵀ + D_sᵀ π D_t)
             np.matmul(ws.d_s[:r], plans, out=ws.sp[:r])
             np.matmul(ws.sp[:r], ws.d_t[:r].swapaxes(1, 2), out=ws.grad[:r])
@@ -295,20 +242,6 @@ class _MixedLockstep:
             np.matmul(ws.pt[:r], ws.d_t[:r], out=ws.sp[:r])
             np.add(ws.grad[:r], ws.sp[:r], out=ws.grad[:r])
             np.multiply(ws.grad[:r], -2.0, out=ws.grad[:r])
-        else:
-            # mixed cross-pair batch: per-slice GEMMs, same per the
-            # stacked-matmul contract
-            for i, run in enumerate(active):
-                np.matmul(ws.d_s[i], plans[i], out=ws.sp[i])
-                if run.objective.fused:
-                    np.matmul(ws.sp[i], ws.d_t[i], out=ws.grad[i])
-                    np.multiply(ws.grad[i], -4.0, out=ws.grad[i])
-                else:
-                    np.matmul(ws.sp[i], ws.d_t[i].T, out=ws.grad[i])
-                    np.matmul(ws.d_s[i].T, plans[i], out=ws.pt[i])
-                    np.matmul(ws.pt[i], ws.d_t[i], out=ws.sp[i])
-                    np.add(ws.grad[i], ws.sp[i], out=ws.grad[i])
-                    np.multiply(ws.grad[i], -2.0, out=ws.grad[i])
         np.divide(ws.grad[:r], etas, out=ws.grad[:r])
         log_kernel = ws.log_kernel[:r]
         np.maximum(plans, self.log_tiny, out=log_kernel)
@@ -328,8 +261,7 @@ class _MixedLockstep:
             value = None
             if cfg.track_history:
                 plan64 = new_plans[i].astype(np.float64)
-                k = run.k
-                value = run.objective.value(
+                value = objective.value(
                     plan64, new_alphas[i][:k], new_alphas[i][k:]
                 )
             run.history.record(value, alpha_delta, plan_delta)
@@ -349,111 +281,48 @@ class _MixedLockstep:
             run.elapsed += alpha_share + pi_share + eval_share
 
 
-def _solve_portfolio_mixed(
-    backend_name: str,
-    problem,
-    precision: str | SolverPrecision,
-    arena: WorkspaceArena | None,
-    batched: bool,
-) -> AlignmentResult:
-    """Shared solve body of the two reduced-precision dense backends."""
-    from repro.engine.backends import ensure_classical_problem
-    from repro.engine.restarts import build_starts, prune_schedule, select_best
+class BatchedF32Backend:
+    """Lockstep-batched float32 restart portfolio (new name, opt-in).
 
-    cfg = problem.config
-    ensure_classical_problem(problem, backend_name)
-    with Timer() as timer:
-        source_bases, target_bases = problem.bases
-        k = len(source_bases)
-        objective = JointObjective(
-            source_bases, target_bases, fused=cfg.fused_contractions
-        )
-        mu, nu = problem.marginals()
-        plan0, informative_init = problem.initial_coupling(mu, nu)
-        starts = build_starts(cfg, objective.n_bases, informative_init)
-        lockstep = _MixedLockstep(
-            cfg, mu, nu, capacity=len(starts), precision=precision, arena=arena
-        )
-        if not batched:
-            # serial scheduling: reuse the reference portfolio loop,
-            # advancing one run at a time through the lockstep
-            def factory(objective, config, beta0, learn, plan0, mu, nu, label):
-                return MixedRun(
-                    lockstep, objective, config, beta0, learn, plan0, label
-                )
-
-            runs, outcomes, best, checkpoints = run_portfolio(
-                objective, cfg, plan0, mu, nu, informative_init, run_factory=factory
-            )
-        else:
-            runs = [
-                MixedRun(lockstep, objective, cfg, beta0, learn, plan0, label)
-                for label, beta0, learn in starts
-            ]
-            checkpoints = prune_schedule(cfg) if len(runs) > 1 else []
-            for checkpoint, margin in checkpoints:
-                lockstep.advance(runs, checkpoint)
-                contenders = {
-                    run.label: run.current_objective()
-                    for run in runs
-                    if not run.pruned
-                }
-                leader = min(contenders.values())
-                for run in runs:
-                    if run.active and contenders[run.label] > leader + margin:
-                        run.prune()
-            lockstep.advance(runs, cfg.max_outer_iter)
-            outcomes = [run.outcome() for run in runs]
-            best = select_best(outcomes)
-    result = portfolio_result(
-        backend_name, outcomes, best, k, checkpoints,
-        portfolio_phase_timings(runs, problem.basis_seconds),
-        runtime=timer.elapsed,
-    )
-    result.extras["precision"] = ensure_precision(precision).name
-    return result
-
-
-class FusedDenseF32Backend:
-    """Serial restart portfolio stepped in float32 (new name, opt-in).
-
-    Same starts, same checkpoints, same scheduling loop as
-    ``fused-dense``; the per-iteration contractions run in float32
-    against a preallocated workspace and all decision values are
-    re-evaluated in float64.  Registered separately per the
-    never-silently-replace rule — results differ from the reference by
-    rounding.
+    Same starts, same checkpoints, same scheduler as ``fused-dense``;
+    the per-iteration contractions run in float32 against a
+    preallocated workspace and all decision values are re-evaluated in
+    float64.  Registered separately per the never-silently-replace rule
+    — results differ from the reference by rounding.  Bitwise-equal to
+    float32 ``threaded-restart`` at any width (see the module
+    docstring).
     """
 
-    name = "fused-dense-f32"
+    name = "batched-f32"
     kind = "dense"
 
     def __init__(self, arena: WorkspaceArena | None = None):
         self.arena = arena
 
     def solve(self, problem):
-        return _solve_portfolio_mixed(
-            self.name, problem, FLOAT32, self.arena, batched=False
-        )
+        from repro.engine.backends import ensure_classical_problem
 
+        cfg = problem.config
+        ensure_classical_problem(problem, self.name)
 
-class BatchedF32Backend(FusedDenseF32Backend):
-    """Lockstep-batched float32 portfolio, bitwise-equal to
-    ``fused-dense-f32`` (both express every contraction as per-slice
-    GEMMs — see the module docstring)."""
+        def setup(objective, mu, nu, plan0, starts):
+            lockstep = _MixedLockstep(
+                objective, cfg, mu, nu, capacity=len(starts),
+                precision=FLOAT32, arena=self.arena,
+            )
+            runs = [
+                MixedRun(lockstep, beta0, learn, plan0, label)
+                for label, beta0, learn in starts
+            ]
+            return runs, lockstep.advance
 
-    name = "batched-f32"
-    kind = "dense"
-
-    def solve(self, problem):
-        return _solve_portfolio_mixed(
-            self.name, problem, FLOAT32, self.arena, batched=True
-        )
+        result = solve_portfolio(self.name, problem, setup)
+        result.extras["precision"] = FLOAT32.name
+        return result
 
 
 __all__ = [
     "BatchedF32Backend",
-    "FusedDenseF32Backend",
     "MixedRun",
     "_MixedLockstep",
 ]

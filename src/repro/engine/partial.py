@@ -47,9 +47,12 @@ from repro.engine.backends import FusedDenseBackend
 from repro.engine.planning import PreparedProblem
 from repro.engine.restarts import (
     RestartRun,
+    build_starts,
     portfolio_phase_timings,
     portfolio_result,
     run_portfolio,
+    solve_portfolio,
+    step_serially,
 )
 from repro.exceptions import ConvergenceError
 from repro.ot.sinkhorn import sinkhorn_log_kernel_fast
@@ -235,14 +238,16 @@ class PartialDummyBackend:
             objective = JointObjective(
                 run_source, run_target, fused=cfg.fused_contractions
             )
-
-            def factory(*args):
-                return _OffsetRun(*args, offset=offset, block=block)
-
-            runs, outcomes, best, checkpoints = run_portfolio(
-                objective, cfg, plan0_run, mu_run, nu_run,
-                informative_init, run_factory=factory,
-            )
+            runs = [
+                _OffsetRun(
+                    objective, cfg, beta0, learn, plan0_run, mu_run, nu_run,
+                    label, offset=offset, block=block,
+                )
+                for label, beta0, learn in build_starts(
+                    cfg, objective.n_bases, informative_init
+                )
+            ]
+            outcomes, best, checkpoints = run_portfolio(runs, cfg, step_serially)
         result = portfolio_result(
             self.name, outcomes, best, k, checkpoints,
             portfolio_phase_timings(runs, problem.basis_seconds),
@@ -298,49 +303,39 @@ class PartialUnbalancedBackend:
     def solve(self, problem: PreparedProblem) -> AlignmentResult:
         cfg = problem.config
         anchors = _problem_anchors(problem)
-        with Timer() as timer:
-            source_bases, target_bases = problem.bases
-            k = len(source_bases)
-            objective = JointObjective(
-                source_bases, target_bases, fused=cfg.fused_contractions
-            )
-            mu, nu = problem.marginals()
-            plan0, informative_init = problem.initial_coupling(mu, nu)
-            mass = cfg.partial_mass
-            mu_run = mu * mass
-            nu_run = nu * mass
-            plan0_run = plan0 * mass
+        mass = cfg.partial_mass
+
+        def setup(objective, mu, nu, plan0, starts):
             offset = None
             if anchors is not None:
                 offset = np.zeros((mu.shape[0], nu.shape[0]))
                 offset[anchors[:, 0], anchors[:, 1]] += cfg.partial_anchor_weight
+            plan0_run, mu_run, nu_run = plan0 * mass, mu * mass, nu * mass
+            runs = [
+                _UnbalancedRun(
+                    objective, cfg, beta0, learn, plan0_run, mu_run, nu_run,
+                    label, offset=offset,
+                )
+                for label, beta0, learn in starts
+            ]
+            return runs, step_serially
 
-            def factory(*args):
-                return _UnbalancedRun(*args, offset=offset)
-
-            runs, outcomes, best, checkpoints = run_portfolio(
-                objective, cfg, plan0_run, mu_run, nu_run,
-                informative_init, run_factory=factory,
-            )
-        result = portfolio_result(
-            self.name, outcomes, best, k, checkpoints,
-            portfolio_phase_timings(runs, problem.basis_seconds),
-            runtime=timer.elapsed,
-        )
-        row_mass = best.plan.sum(axis=1)
-        col_mass = best.plan.sum(axis=0)
+        result = solve_portfolio(self.name, problem, setup)
+        mu, nu = problem.marginals()
+        row_mass = result.plan.sum(axis=1)
+        col_mass = result.plan.sum(axis=0)
         # shortfall against the scaled marginal: a fully-served node
         # scores ~0, a node the solver abandoned scores ~1 (unbalanced
         # scalings can overshoot their target, hence the clip)
-        source_scores = np.clip(1.0 - row_mass / mu_run, 0.0, 1.0)
-        target_scores = np.clip(1.0 - col_mass / nu_run, 0.0, 1.0)
+        source_scores = np.clip(1.0 - row_mass / (mu * mass), 0.0, 1.0)
+        target_scores = np.clip(1.0 - col_mass / (nu * mass), 0.0, 1.0)
         result.extras["partial"] = {
             "mode": "unbalanced",
             "mass": mass,
             "rho": cfg.partial_rho,
             "n_anchors": 0 if anchors is None else int(anchors.shape[0]),
             "delegated": False,
-            "matched_mass": float(best.plan.sum()),
+            "matched_mass": float(result.plan.sum()),
             "source_unmatchable": source_scores,
             "target_unmatchable": target_scores,
         }

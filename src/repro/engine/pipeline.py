@@ -8,7 +8,8 @@ is explicit and separately callable:
 * :meth:`AlignmentEngine.plan` — base/view construction through the
   content-keyed :class:`~repro.engine.planning.PlanCache`;
 * :meth:`AlignmentEngine.solve` — dispatch to a registered solver
-  backend (``fused-dense`` / ``batched-restart`` / ``sparse``);
+  backend (``fused-dense``, ``batched-restart``, ``threaded-restart``,
+  ``batched-f32``, ``partial-*`` or ``sparse``);
 * :meth:`AlignmentEngine.decode` — turn the solved transport plan
   into a discrete matching through a registered decoder
   (``row-argmax`` / ``mutual-argmax`` / ``hungarian`` / ``mea``);

@@ -1,15 +1,15 @@
 """Solver precision model: the opt-in float32 fast path.
 
-Every reference backend (``fused-dense``, ``batched-restart``, the
-dedup twins) iterates in float64 and is bitwise-pinned.  The float32
-mode trades that determinism contract for speed on the ``pi_update``
-hot path, under three rules that keep it honest:
+Every reference backend (``fused-dense``, ``batched-restart``,
+``threaded-restart``) iterates in float64 and is bitwise-pinned.  The
+float32 mode trades that determinism contract for speed on the
+``pi_update`` hot path, under three rules that keep it honest:
 
 1. **New names, never replacements.**  ``float32`` routes to the
-   separately-registered ``fused-dense-f32`` / ``batched-f32``
-   backends (and flips ``threaded-restart`` into its reduced-precision
-   mode); ``float64`` returns the requested backend untouched, so the
-   pinned reference paths cannot be reached through a precision knob.
+   separately-registered ``batched-f32`` backend (and flips
+   ``threaded-restart`` into its reduced-precision mode); ``float64``
+   returns the requested backend untouched, so the pinned reference
+   paths cannot be reached through a precision knob.
 2. **Decisions stay float64.**  Portfolio pruning and final selection
    compare objective values re-evaluated in float64 from the float32
    iterate (:meth:`repro.engine.mixed.MixedRun.current_objective`), so
@@ -93,15 +93,13 @@ def ensure_precision(precision: str | SolverPrecision) -> SolverPrecision:
 
 # float32 routing table: requested backend -> (actual backend, extra
 # backend options).  float64 never consults this — see
-# backend_for_precision.  ``fused-dense`` routes to *batched*-f32, not
-# fused-dense-f32: the two are bitwise-equal (per-slice GEMM contract)
-# but only the lockstep schedule amortises the numpy call overhead
-# that dominates pi_update at bench scale, so the mode always picks
-# the fast schedule.  fused-dense-f32 stays reachable by explicit name
-# as the serial-scheduled equivalence anchor.
+# backend_for_precision.  ``fused-dense`` routes to *batched*-f32: the
+# lockstep schedule amortises the numpy call overhead that dominates
+# pi_update at bench scale, and it is bitwise-equal to the one-run-at-
+# a-time float32 schedule (threaded-restart at width 1) by the
+# per-slice GEMM contract.
 _F32_ROUTES: dict[str, tuple[str, dict]] = {
     "fused-dense": ("batched-f32", {}),
-    "fused-dense-f32": ("fused-dense-f32", {}),
     "batched-restart": ("batched-f32", {}),
     "batched-f32": ("batched-f32", {}),
     "threaded-restart": ("threaded-restart", {"precision": "float32"}),
@@ -117,7 +115,7 @@ def backend_for_precision(
     unchanged with no extra options, so the default precision routes to
     the bitwise-pinned reference paths.  ``float32`` routes through
     :data:`_F32_ROUTES`; backends without a reduced-precision variant
-    (sparse, partial, the dedup twins) raise :class:`ConfigError`
+    (sparse, the partial backends) raise :class:`ConfigError`
     naming the ones that have one.
     """
     resolved = ensure_precision(precision)

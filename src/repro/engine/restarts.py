@@ -14,12 +14,15 @@ transcription of the original single-shot loop: as long as a run is
 advanced to the full budget, its iterate sequence (and therefore its
 final plan) is bit-for-bit what the unscheduled solver produced.
 ``step_until`` lets the portfolio scheduler advance restarts
-checkpoint by checkpoint.
+checkpoint by checkpoint.  :func:`run_portfolio` is that scheduler, the
+one every dense backend runs; the backends differ only in the
+``advance`` callable they hand it.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,19 +31,16 @@ from repro.core.config import SLOTAlignConfig
 from repro.core.convergence import IterateHistory
 from repro.core.objective import JointObjective
 from repro.core.result import AlignmentResult
+from repro.engine.planning import PreparedProblem
 from repro.exceptions import ConvergenceError, GraphError
 from repro.ot.simplex import project_concatenated_simplices
 from repro.ot.sinkhorn import sinkhorn_log_kernel_fast
+from repro.utils.timer import Timer
 
 
 @dataclass
 class RunOutcome:
-    """One restart's final iterates.
-
-    ``deduped`` marks a restart dropped by trajectory dedup because its
-    coupling had converged (within tolerance) onto ``merged_into``'s —
-    the restart is also ``pruned`` so downstream selection skips it.
-    """
+    """One restart's final iterates."""
 
     plan: np.ndarray
     alpha: np.ndarray
@@ -49,8 +49,6 @@ class RunOutcome:
     label: str
     pruned: bool = False
     iterations: int = 0
-    deduped: bool = False
-    merged_into: str | None = None
 
 
 def eta_schedule(config: SLOTAlignConfig, iteration: int) -> float:
@@ -171,11 +169,6 @@ class RestartRun:
         self.iteration = 0
         self.pruned = False
         self.pruned_at: int | None = None
-        self.deduped = False
-        self.merged_into: str | None = None
-        # per-run iteration budget: equals the config cap unless the
-        # dedup portfolio reallocates a merged restart's remainder
-        self.max_iterations = config.max_outer_iter
         self.elapsed = 0.0
         self.timings = {"alpha_update": 0.0, "pi_update": 0.0, "objective_eval": 0.0}
 
@@ -184,7 +177,7 @@ class RestartRun:
     def finished(self) -> bool:
         return (
             self.history.converged
-            or self.iteration >= self.max_iterations
+            or self.iteration >= self.config.max_outer_iter
         )
 
     @property
@@ -192,8 +185,8 @@ class RestartRun:
         return not self.pruned and not self.finished
 
     def step_until(self, target_iteration: int) -> None:
-        """Advance to ``min(target, max_iterations)`` or convergence."""
-        target = min(target_iteration, self.max_iterations)
+        """Advance to ``min(target, max_outer_iter)`` or convergence."""
+        target = min(target_iteration, self.config.max_outer_iter)
         start = time.perf_counter()
         while self.iteration < target and not self.history.converged:
             self._step_once()
@@ -219,8 +212,6 @@ class RestartRun:
             label=self.label,
             pruned=self.pruned,
             iterations=self.iteration,
-            deduped=self.deduped,
-            merged_into=self.merged_into,
         )
 
     # ------------------------------------------------------------------
@@ -297,34 +288,52 @@ class RestartRun:
         return result.plan
 
 
-def run_portfolio(
-    objective: JointObjective,
-    config: SLOTAlignConfig,
-    plan0: np.ndarray,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    informative_init: bool,
-    run_factory=RestartRun,
-) -> tuple[list[RestartRun], list[RunOutcome], RunOutcome, list[tuple[int, float]]]:
-    """Run the serial restart portfolio over one prepared objective.
+def step_serially(runs: list[RestartRun], target: int) -> None:
+    """Advance each run to ``target`` in turn (the reference schedule)."""
+    for run in runs:
+        run.step_until(target)
 
-    The faithful move of the scheduling loop that lived in the
-    ``fused-dense`` backend: restart construction, successive-halving
-    checkpoints and the final full-budget advance are unchanged, so
-    running this with the default ``run_factory`` is bit-for-bit the
-    historical solver.  The partial backends reuse the identical
-    policy over their extended/unbalanced run classes.
+
+class Lockstep:
+    """Advances a set of runs together, one outer iteration at a time.
+
+    Subclasses implement ``_step_all(active)``: one outer iteration for
+    every run in ``active``.
     """
-    starts = build_starts(config, objective.n_bases, informative_init)
-    runs = [
-        run_factory(objective, config, beta0, learn, plan0, mu, nu, label)
-        for label, beta0, learn in starts
-    ]
+
+    def advance(self, runs: list[RestartRun], target: int) -> None:
+        """Step every live run to ``target`` (or its convergence)."""
+        while True:
+            active = [
+                run for run in runs if run.active and run.iteration < target
+            ]
+            if not active:
+                return
+            # lockstep invariant: the scheduler only ever advances the
+            # whole live set to a common checkpoint, so live runs share
+            # one iteration counter
+            self._step_all(active)
+
+
+def run_portfolio(
+    runs: list[RestartRun],
+    config: SLOTAlignConfig,
+    advance: Callable[[list[RestartRun], int], None],
+) -> tuple[list[RunOutcome], RunOutcome, list[tuple[int, float]]]:
+    """The checkpoint/prune scheduler every dense backend runs.
+
+    ``advance(live_runs, target)`` steps the live runs to ``target``
+    iterations (or their convergence); the backends differ only in that
+    callable — :func:`step_serially`, :meth:`Lockstep.advance` or a
+    thread pool.  At each successive-halving checkpoint the restarts
+    whose objective trails the leader's by more than the margin are
+    pruned; the survivors then run to the full budget.  Pruning reads
+    the objectives on this thread, so the decisions never depend on
+    the schedule.
+    """
     checkpoints = prune_schedule(config) if len(runs) > 1 else []
     for checkpoint, margin in checkpoints:
-        for run in runs:
-            if run.active:
-                run.step_until(checkpoint)
+        advance([run for run in runs if run.active], checkpoint)
         contenders = {
             run.label: run.current_objective()
             for run in runs
@@ -334,221 +343,41 @@ def run_portfolio(
         for run in runs:
             if run.active and contenders[run.label] > leader + margin:
                 run.prune()
-    for run in runs:
-        if run.active:
-            run.step_until(config.max_outer_iter)
+    advance([run for run in runs if run.active], config.max_outer_iter)
     outcomes = [run.outcome() for run in runs]
-    best = select_best(outcomes)
-    return runs, outcomes, best, checkpoints
+    return outcomes, select_best(outcomes), checkpoints
 
 
-def plan_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Relative Frobenius distance between two coupling iterates."""
-    scale = max(
-        float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-300
-    )
-    return float(np.linalg.norm(a - b)) / scale
+def solve_portfolio(
+    backend: str, problem: PreparedProblem, setup: Callable
+) -> AlignmentResult:
+    """Solve ``problem`` with the restart portfolio of one dense backend.
 
-
-def dedup_schedule(config: SLOTAlignConfig, interval: int | None = None) -> list[int]:
-    """Iterations at which the dedup portfolio compares trajectories.
-
-    Every ``interval`` iterations (default: ``portfolio_prune_iter``,
-    or 20 when pruning is disabled) up to — but excluding — the outer
-    budget: a merge at the budget frees nothing.
+    The shared solve body: the objective over the problem's bases, the
+    marginals, the initial coupling and the start list, handed to
+    ``setup(objective, mu, nu, plan0, starts)``, which returns the
+    backend's runs and its ``advance`` callable for :func:`run_portfolio`.
     """
-    if interval is None:
-        interval = (
-            config.portfolio_prune_iter
-            if config.portfolio_prune_iter > 0
-            else 20
+    cfg = problem.config
+    with Timer() as timer:
+        source_bases, target_bases = problem.bases
+        objective = JointObjective(
+            source_bases, target_bases, fused=cfg.fused_contractions
         )
-    if interval <= 0:
-        return []
-    return list(range(interval, config.max_outer_iter, interval))
-
-
-#: Default opening tolerance of the converging dedup schedule.
-#: Calibrated on the bench portfolio (n=81, 4 starts, budget 150):
-#: the clone cluster (uniform/node/node-frozen) sits at relative
-#: Frobenius distance ~1e-2 by the first 20-iteration checkpoint and
-#: plateaus near 1e-3, while the genuinely distinct ``edge`` basin
-#: stays at ~1.2 — so 0.05 separates clones from basins with an order
-#: of magnitude of margin on both sides.
-DEDUP_TOL_START = 0.05
-
-
-def dedup_tolerance(
-    iteration: int,
-    budget: int,
-    floor: float,
-    start: float = DEDUP_TOL_START,
-) -> float:
-    """Converging dedup tolerance at ``iteration`` (ROADMAP item 4).
-
-    The fixed ``1e-5`` tolerance was a dead letter: restart
-    trajectories that share a basin plateau around relative Frobenius
-    distance ``1e-3`` — close enough to be clones, never close enough
-    for ``1e-5`` — so no merge ever fired and the dedup backends paid
-    the comparison cost for nothing.  This schedule starts loose and
-    tightens as trajectories converge: geometric interpolation from
-    ``start`` at iteration 0 down to ``floor`` at the outer
-    ``budget``, so early checkpoints merge obvious clones (freeing the
-    most budget) while late checkpoints only merge near-identical
-    iterates.
-
-    Degenerate cases keep the PR-9 contracts: ``floor <= 0`` returns
-    ``floor`` unchanged (dedup off stays off), and ``start <= floor``
-    collapses to the constant ``floor`` (the old fixed-tolerance
-    behaviour — which is also how an over-wide explicit ``dedup_tol``
-    like the forced-merge tests' ``10.0`` keeps its meaning).
-    """
-    if floor <= 0.0 or start <= floor:
-        return floor
-    fraction = min(max(iteration / budget, 0.0), 1.0) if budget > 0 else 1.0
-    return float(start * (floor / start) ** fraction)
-
-
-def _apply_dedup(runs, tol: float, budget: int) -> list[dict]:  #: pinned
-    """Merge live restarts whose couplings converged within ``tol``.
-
-    Pairwise relative-Frobenius comparison over the non-pruned runs in
-    start order; when two plans sit within ``tol`` the **earlier** run
-    keeps its trajectory and the later one is marked ``deduped`` (and
-    pruned, so selection skips it).  Each merge records the dropped
-    run's remaining iteration budget against ``budget`` — the pool the
-    caller redistributes to the survivors.
-
-    Bitwise-pinned (``repro lint``): the merge criterion decides which
-    trajectories the ``*-dedup`` backends drop, and any change to it
-    changes their outputs.
-    """
-    candidates = [run for run in runs if not run.pruned]
-    merges: list[dict] = []
-    for i, keeper in enumerate(candidates):
-        if keeper.deduped:
-            continue
-        for other in candidates[i + 1:]:
-            if other.deduped:
-                continue
-            distance = plan_distance(keeper.plan, other.plan)
-            if distance <= tol:
-                other.deduped = True
-                other.merged_into = keeper.label
-                other.prune()
-                merges.append({
-                    "kept": keeper.label,
-                    "dropped": other.label,
-                    "iteration": other.iteration,
-                    "distance": distance,
-                    "freed": (
-                        0
-                        if other.history.converged
-                        else max(0, budget - other.iteration)
-                    ),
-                })
-    return merges
-
-
-def run_portfolio_dedup(
-    objective: JointObjective,
-    config: SLOTAlignConfig,
-    plan0: np.ndarray,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    informative_init: bool,
-    run_factory=RestartRun,
-    dedup_tol: float = 1e-5,
-    dedup_interval: int | None = None,
-    dedup_tol_start: float = DEDUP_TOL_START,
-) -> tuple[list[RestartRun], list[RunOutcome], RunOutcome, list[tuple[int, float]], dict]:
-    """The serial restart portfolio with trajectory dedup (Snippet-3 idiom).
-
-    Identical to :func:`run_portfolio` except that at every
-    :func:`dedup_schedule` checkpoint, restarts whose couplings have
-    converged onto an earlier restart's (relative Frobenius distance
-    ≤ the :func:`dedup_tolerance` schedule decaying from
-    ``dedup_tol_start`` to the ``dedup_tol`` floor) are dropped, and
-    the iteration budget they would have burned is redistributed:
-    every survivor's ``max_iterations`` is extended by
-    ``freed // n_survivors`` (capped at one extra full budget), so the
-    portfolio spends the same total work exploring *distinct* basins
-    instead of stepping clones.
-
-    A merge changes which trajectories exist (and survivors may run
-    past ``max_outer_iter``), so results can differ from
-    :func:`run_portfolio` — this function therefore backs the
-    separately-registered ``fused-dense-dedup`` backend; with no merge
-    firing the trajectories are bit-for-bit the classical portfolio's.
-    """
-    starts = build_starts(config, objective.n_bases, informative_init)
-    runs = [
-        run_factory(objective, config, beta0, learn, plan0, mu, nu, label)
-        for label, beta0, learn in starts
-    ]
-    checkpoints = prune_schedule(config) if len(runs) > 1 else []
-    dedup_points = dedup_schedule(config, dedup_interval) if len(runs) > 1 else []
-    # one merged event stream; at a shared iteration dedup fires first
-    # (kind 0) so the prune comparison never ranks a known clone
-    events = sorted(
-        [(iteration, 0, None) for iteration in dedup_points]
-        + [(iteration, 1, margin) for iteration, margin in checkpoints]
+        mu, nu = problem.marginals()
+        plan0, informative_init = problem.initial_coupling(mu, nu)
+        starts = build_starts(cfg, objective.n_bases, informative_init)
+        runs, advance = setup(objective, mu, nu, plan0, starts)
+        outcomes, best, checkpoints = run_portfolio(runs, cfg, advance)
+    return portfolio_result(
+        backend, outcomes, best, objective.n_bases, checkpoints,
+        portfolio_phase_timings(runs, problem.basis_seconds),
+        runtime=timer.elapsed,
     )
-    tolerance_schedule = [
-        (
-            iteration,
-            dedup_tolerance(
-                iteration, config.max_outer_iter, dedup_tol, dedup_tol_start
-            ),
-        )
-        for iteration in dedup_points
-    ]
-    tolerance_at = dict(tolerance_schedule)
-    merges: list[dict] = []
-    for iteration, kind, margin in events:
-        for run in runs:
-            if run.active:
-                run.step_until(iteration)
-        if kind == 0:
-            merges.extend(
-                _apply_dedup(runs, tolerance_at[iteration], config.max_outer_iter)
-            )
-            continue
-        contenders = {
-            run.label: run.current_objective()
-            for run in runs
-            if not run.pruned
-        }
-        leader = min(contenders.values())
-        for run in runs:
-            if run.active and contenders[run.label] > leader + margin:
-                run.prune()
-    freed = sum(merge["freed"] for merge in merges)
-    survivors = [run for run in runs if run.active]
-    extension = 0
-    if freed and survivors:
-        extension = min(freed // len(survivors), config.max_outer_iter)
-        for run in survivors:
-            run.max_iterations = config.max_outer_iter + extension
-    for run in runs:
-        if run.active:
-            run.step_until(run.max_iterations)
-    outcomes = [run.outcome() for run in runs]
-    best = select_best(outcomes)
-    dedup_info = {
-        "tolerance": dedup_tol,
-        "tolerance_start": dedup_tol_start,
-        "tolerance_schedule": tolerance_schedule,
-        "checkpoints": dedup_points,
-        "merges": merges,
-        "freed_iterations": freed,
-        "extension": extension,
-    }
-    return runs, outcomes, best, checkpoints, dedup_info
 
 
 def portfolio_phase_timings(runs: list[RestartRun], basis_seconds: float) -> dict:
-    """The per-phase timing dict both portfolio-shaped backends emit."""
+    """The per-phase timing dict every portfolio backend emits."""
     return {
         "basis_build": basis_seconds,
         "alpha_update": sum(r.timings["alpha_update"] for r in runs),
@@ -573,7 +402,7 @@ def portfolio_result(
     phase_timings: dict,
     runtime: float,
 ) -> AlignmentResult:
-    """Assemble the :class:`AlignmentResult` both dense backends share."""
+    """Assemble the :class:`AlignmentResult` every dense backend shares."""
     return AlignmentResult(
         plan=best.plan,
         runtime=runtime,

@@ -9,11 +9,12 @@ address space* can overlap the per-restart GEMMs with zero pickling.
 
 Strategy
 --------
-Between portfolio checkpoints every active run's ``step_until`` is
-submitted to the pool; pruning decisions then happen on the main
-thread exactly as in the serial scheduler, so the portfolio policy
-(starts, checkpoints, margins) is untouched.  Each run's trajectory is
-a deterministic function of its own state:
+The backend hands the shared
+:func:`~repro.engine.restarts.run_portfolio` an ``advance`` that
+submits every live run's ``step_until`` to the pool; pruning decisions
+then happen on the main thread exactly as in the serial schedule, so
+the portfolio policy (starts, checkpoints, margins) is untouched.
+Each run's trajectory is a deterministic function of its own state:
 
 * in **float64** mode the runs are plain
   :class:`~repro.engine.restarts.RestartRun` objects — shared
@@ -24,7 +25,7 @@ a deterministic function of its own state:
   over one shared :class:`~repro.engine.mixed._MixedLockstep`, whose
   scratch comes from per-thread workspaces
   (:class:`~repro.ot.workspace.WorkspaceArena`) — no buffer aliasing
-  across threads, and the result is bit-for-bit ``fused-dense-f32``.
+  across threads, and the result is bit-for-bit ``batched-f32``.
 
 BLAS threads: the process-wide policy of :mod:`repro.engine.blas`
 runs every BLAS call on one thread, so W pool threads occupy W cores
@@ -36,19 +37,12 @@ serial reference scheduler.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
-from repro.core.objective import JointObjective
 from repro.engine.blas import blas_threads
 from repro.engine.mixed import MixedRun, _MixedLockstep
 from repro.engine.precision import DEFAULT_PRECISION, ensure_precision
-from repro.engine.restarts import (
-    RestartRun,
-    build_starts,
-    portfolio_phase_timings,
-    portfolio_result,
-    prune_schedule,
-    select_best,
-)
+from repro.engine.restarts import RestartRun, solve_portfolio, step_serially
 from repro.ot.workspace import WorkspaceArena
 from repro.utils.timer import Timer
 
@@ -65,7 +59,7 @@ class ThreadedRestartBackend:
         serial loop.
     precision:
         ``"float64"`` (default, bitwise ``fused-dense``) or
-        ``"float32"`` (bitwise ``fused-dense-f32``).
+        ``"float32"`` (bitwise ``batched-f32``).
     """
 
     name = "threaded-restart"
@@ -89,15 +83,25 @@ class ThreadedRestartBackend:
             return max(1, min(self.max_workers, n_runs))
         return max(1, min(n_runs, available_cpus()))
 
-    @staticmethod
-    def _advance(runs, target: int, pool) -> None:
-        live = [run for run in runs if run.active]
-        if pool is None or len(live) <= 1:
-            for run in live:
-                run.step_until(target)
-            return
-        # consuming the map iterator re-raises worker exceptions
-        list(pool.map(lambda run: run.step_until(target), live))
+    def _runs(self, objective, config, mu, nu, plan0, starts) -> list[RestartRun]:
+        if self.precision.name == DEFAULT_PRECISION:
+            return [
+                RestartRun(objective, config, beta0, learn, plan0, mu, nu, label)
+                for label, beta0, learn in starts
+            ]
+        lockstep = _MixedLockstep(
+            objective,
+            config,
+            mu,
+            nu,
+            capacity=1,  # threaded runs step one slice per thread
+            precision=self.precision,
+            arena=self.arena,
+        )
+        return [
+            MixedRun(lockstep, beta0, learn, plan0, label)
+            for label, beta0, learn in starts
+        ]
 
     # ------------------------------------------------------------------
     def solve(self, problem):
@@ -106,74 +110,46 @@ class ThreadedRestartBackend:
 
         cfg = problem.config
         ensure_classical_problem(problem, self.name)
-        with Timer() as timer:
-            source_bases, target_bases = problem.bases
-            k = len(source_bases)
-            objective = JointObjective(
-                source_bases, target_bases, fused=cfg.fused_contractions
-            )
-            mu, nu = problem.marginals()
-            plan0, informative_init = problem.initial_coupling(mu, nu)
-            starts = build_starts(cfg, objective.n_bases, informative_init)
-            if self.precision.name == DEFAULT_PRECISION:
-                runs = [
-                    RestartRun(objective, cfg, beta0, learn, plan0, mu, nu, label)
-                    for label, beta0, learn in starts
-                ]
-            else:
-                lockstep = _MixedLockstep(
-                    cfg,
-                    mu,
-                    nu,
-                    capacity=1,  # threaded runs step one slice per thread
-                    precision=self.precision,
-                    arena=self.arena,
-                )
-                runs = [
-                    MixedRun(lockstep, objective, cfg, beta0, learn, plan0, label)
-                    for label, beta0, learn in starts
-                ]
+        workers, pool = 1, None
+
+        def setup(objective, mu, nu, plan0, starts):
+            nonlocal workers, pool
+            runs = self._runs(objective, cfg, mu, nu, plan0, starts)
             workers = self._worker_count(len(runs))
-            cpus = available_cpus()
-            pool = (
-                ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="restart"
-                )
-                if workers > 1
-                else None
+            if workers == 1:
+                return runs, step_serially
+            pool = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="restart"
             )
+            return runs, partial(_step_in_pool, pool)
+
+        with Timer() as timer:
             try:
-                checkpoints = prune_schedule(cfg) if len(runs) > 1 else []
-                for checkpoint, margin in checkpoints:
-                    self._advance(runs, checkpoint, pool)
-                    contenders = {
-                        run.label: run.current_objective()
-                        for run in runs
-                        if not run.pruned
-                    }
-                    leader = min(contenders.values())
-                    for run in runs:
-                        if run.active and contenders[run.label] > leader + margin:
-                            run.prune()
-                self._advance(runs, cfg.max_outer_iter, pool)
+                result = solve_portfolio(self.name, problem, setup)
             finally:
                 if pool is not None:
                     pool.shutdown(wait=True)
-            outcomes = [run.outcome() for run in runs]
-            best = select_best(outcomes)
-        result = portfolio_result(
-            self.name, outcomes, best, k, checkpoints,
-            portfolio_phase_timings(runs, problem.basis_seconds),
-            runtime=timer.elapsed,
-        )
+        # the solve's runtime includes the pool's shutdown
+        result.runtime = timer.elapsed
         result.extras["precision"] = self.precision.name
         result.extras["threading"] = {
             "workers": workers,
             "requested_workers": self.max_workers,
-            "cpus": cpus,
+            "cpus": available_cpus(),
             "blas_threads": blas_threads(),
         }
         return result
+
+
+def _step_in_pool(
+    pool: ThreadPoolExecutor, runs: list[RestartRun], target: int
+) -> None:
+    """Advance each live run to ``target`` on the pool's threads."""
+    if len(runs) <= 1:
+        step_serially(runs, target)
+        return
+    # consuming the map iterator re-raises worker exceptions
+    list(pool.map(lambda run: run.step_until(target), runs))
 
 
 __all__ = ["ThreadedRestartBackend"]

@@ -391,14 +391,14 @@ def sinkhorn_log_kernel_fast_workspace(
     and its plan stops being written, while the remaining slices keep
     iterating on the full stack — so every slice's plan is bit-for-bit
     what the serial kernel produces for that kernel alone, which is
-    what lets heterogeneous cross-pair batches keep the single-pair
-    bitwise contract.  (Frozen slices ride along in the stack matvecs;
+    what keeps a lockstep batch bitwise-equal to stepping its runs one
+    at a time.  (Frozen slices ride along in the stack matvecs;
     their scaling vectors become dead state that is never read again.
     No fancy-indexed copies, no allocation.)  Returns ``(iterations,
     per-slice L1 row errors, all-slices-converged)``.
 
-    .. note:: **bitwise-pinned** — the ``fused-dense-f32`` /
-       ``batched-f32`` / ``threaded-restart`` equivalence contract and
+    .. note:: **bitwise-pinned** — the ``batched-f32`` / float32
+       ``threaded-restart`` equivalence contract and
        the precision benchmark baselines depend on this exact
        instruction sequence; register divergent variants under a new
        backend name instead of editing it.

@@ -61,7 +61,8 @@ def align_block(
     Top-level so process pools can pickle it.  ``backend`` selects the
     dense solver backend per block (``batched-restart`` amortises each
     block's restart portfolio into stacked GEMMs; results are
-    bitwise-identical across backends, like the executors).
+    bitwise-identical across the float64 portfolio backends, like the
+    executors).
     """
     from repro.engine.pipeline import align_pair
 

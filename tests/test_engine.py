@@ -216,47 +216,6 @@ class TestEvaluateAdapter:
         assert set(report) == {"hits@1", "hits@5", "mrr"}
 
 
-class TestDeprecatedScalabilityShim:
-    def test_import_warns_and_reexports(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.core.scalability", None)
-        with pytest.warns(DeprecationWarning, match="repro.scale"):
-            module = importlib.import_module("repro.core.scalability")
-        from repro.scale.aligner import DivideAndConquerAligner
-
-        assert module.DivideAndConquerAligner is DivideAndConquerAligner
-
-    def test_warning_points_at_the_import_site(self):
-        """The deprecation must blame the caller's import, not the
-        import machinery — ``importlib.import_module`` included (its
-        frame is *not* natively skipped by ``warnings``)."""
-        import importlib
-        import sys
-        import warnings
-        from pathlib import Path
-
-        for importer in (
-            lambda: importlib.import_module("repro.core.scalability"),
-            lambda: __import__("repro.core.scalability"),
-        ):
-            sys.modules.pop("repro.core.scalability", None)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                importer()
-            locations = [
-                warning
-                for warning in caught
-                if issubclass(warning.category, DeprecationWarning)
-                and "repro.scale" in str(warning.message)
-            ]
-            assert locations, "shim import did not warn"
-            assert (
-                Path(locations[0].filename).resolve() == Path(__file__).resolve()
-            ), f"warning blamed {locations[0].filename}"
-
-
 class TestDenseBackendGuards:
     def test_slotalign_rejects_sparse_backend_upfront(self):
         pair = bench_pair()

@@ -4,13 +4,14 @@ Three contracts keep reduced precision honest:
 
 * **routing** — ``precision="float64"`` is the identity (requests
   reach the bitwise-pinned reference backends untouched), while
-  ``"float32"`` routes to the separately-registered ``*-f32``
-  backends, erroring with the choice-naming message on backends that
-  have no reduced-precision variant;
-* **equivalence** — the float32 serial, batched and threaded
-  schedules are all bitwise-identical to each other (the
-  per-slice GEMM/Sinkhorn contracts), so scheduling never compounds
-  the precision change;
+  ``"float32"`` routes to the separately-registered ``batched-f32``
+  backend (or float32 ``threaded-restart``), erroring with the
+  choice-naming message on backends that have no reduced-precision
+  variant;
+* **equivalence** — the float32 one-run-at-a-time (threaded) and
+  lockstep (batched) schedules are bitwise-identical to each other
+  (the per-slice GEMM/Sinkhorn contracts), so scheduling never
+  compounds the precision change;
 * **parity** — float32 tracks the float64 reference within the
   documented Hit@1/MRR band on seeded pairs, and the final plan is
   always returned re-cast to float64 with float64 objective values.
@@ -86,7 +87,7 @@ class TestPrecisionModel:
 
     def test_float64_routing_is_the_identity(self):
         for backend in ("fused-dense", "batched-restart", "sparse",
-                        "fused-dense-dedup", "threaded-restart"):
+                        "partial-dummy", "threaded-restart"):
             assert backend_for_precision(backend, "float64") == (backend, {})
 
     @pytest.mark.parametrize(
@@ -95,7 +96,6 @@ class TestPrecisionModel:
             ("fused-dense", ("batched-f32", {})),
             ("batched-restart", ("batched-f32", {})),
             ("batched-f32", ("batched-f32", {})),
-            ("fused-dense-f32", ("fused-dense-f32", {})),
             ("threaded-restart", ("threaded-restart", {"precision": "float32"})),
         ],
     )
@@ -106,7 +106,7 @@ class TestPrecisionModel:
         with pytest.raises(ConfigError, match="batched-f32"):
             backend_for_precision("sparse", "float32")
         with pytest.raises(ConfigError):
-            backend_for_precision("fused-dense-dedup", "float32")
+            backend_for_precision("partial-dummy", "float32")
 
 
 class TestEngineRouting:
@@ -135,7 +135,7 @@ class TestEngineRouting:
     def test_unrouted_backend_with_float32_fails_at_solve(self):
         pair = bench_pair(seed=0)
         engine = AlignmentEngine(
-            FAST, backend="fused-dense-dedup", cache=None,
+            FAST, backend="partial-dummy", cache=None,
             precision="float32",
         )
         with pytest.raises(ConfigError, match="no float32 variant"):
@@ -156,9 +156,15 @@ class TestFloat32Equivalence:
     """All float32 schedules produce the same bits."""
 
     def test_serial_and_batched_f32_are_bitwise_equal(self):
+        """threaded-restart at width 1 steps one run at a time with no
+        pool: the serial float32 schedule."""
         pair = bench_pair(seed=0)
-        serial = solve(pair, backend="fused-dense-f32")
+        serial = solve(
+            pair, backend="threaded-restart",
+            backend_options={"precision": "float32", "max_workers": 1},
+        )
         batched = solve(pair, backend="batched-f32")
+        assert serial.extras["threading"]["workers"] == 1
         np.testing.assert_array_equal(serial.plan, batched.plan)
         assert serial.extras["objective"] == batched.extras["objective"]
         assert (
@@ -166,13 +172,20 @@ class TestFloat32Equivalence:
         )
 
     def test_threaded_f32_is_bitwise_the_serial_f32(self):
+        """A two-thread pool gives the bits of the serial float32
+        schedule (threaded-restart at width 1)."""
         pair = bench_pair(seed=0)
-        serial = solve(pair, backend="fused-dense-f32")
+        serial = solve(
+            pair, backend="threaded-restart",
+            backend_options={"precision": "float32", "max_workers": 1},
+        )
         threaded = solve(
             pair, backend="threaded-restart",
             backend_options={"precision": "float32", "max_workers": 2},
         )
+        assert threaded.extras["threading"]["workers"] == 2
         np.testing.assert_array_equal(serial.plan, threaded.plan)
+        assert threaded.extras["objective"] == serial.extras["objective"]
 
 
 class TestFloat32Parity:

@@ -1,4 +1,4 @@
-"""Tests for divide-and-conquer alignment (repro.core.scalability)."""
+"""Tests for divide-and-conquer alignment (repro.scale)."""
 
 import numpy as np
 import pytest

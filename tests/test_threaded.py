@@ -1,8 +1,9 @@
 """Tests for the threaded shared-memory restart strategy (PR 10).
 
 The load-bearing property is that threading is *pure scheduling*: at
-any worker count the float64 mode is bit-for-bit ``fused-dense`` and
-the float32 mode is bit-for-bit ``fused-dense-f32`` — each restart's
+any worker count the float64 mode is bit-for-bit ``fused-dense``
+(``tests/test_portfolio_parity.py``) and the float32 mode is
+bit-for-bit ``batched-f32`` — each restart's
 trajectory is a deterministic function of its own state, and per-thread
 workspaces (the :class:`~repro.ot.workspace.WorkspaceArena`) keep
 float32 scratch unshared.  The >1 speedup claim is only assertable on
@@ -45,45 +46,28 @@ def solve(pair, config=FAST, **engine_kwargs):
 
 
 class TestBitwiseContract:
-    @pytest.mark.parametrize("max_workers", [None, 1, 2, 4])
-    def test_float64_is_bitwise_fused_dense_at_any_width(self, max_workers):
-        pair = bench_pair(seed=0)
-        reference = solve(pair)
-        threaded = solve(
-            pair, backend="threaded-restart",
-            backend_options={"max_workers": max_workers},
-        )
-        np.testing.assert_array_equal(reference.plan, threaded.plan)
-        assert threaded.extras["objective"] == reference.extras["objective"]
-        assert (
-            threaded.extras["selected_start"]
-            == reference.extras["selected_start"]
-        )
-
     def test_float32_is_bitwise_the_serial_f32_at_forced_width(self):
+        """Width 3 gives the bits of the serial float32 schedule (width
+        1, one run at a time, no pool) and of lockstep ``batched-f32``."""
         pair = bench_pair(seed=1)
-        serial = solve(pair, backend="fused-dense-f32")
+        serial = solve(
+            pair, backend="threaded-restart",
+            backend_options={"max_workers": 1, "precision": "float32"},
+        )
+        batched = solve(pair, backend="batched-f32")
         threaded = solve(
             pair, backend="threaded-restart",
             backend_options={"max_workers": 3, "precision": "float32"},
         )
-        np.testing.assert_array_equal(serial.plan, threaded.plan)
-
-    def test_pruning_decisions_match_the_serial_portfolio(self):
-        from dataclasses import replace
-
-        pair = bench_pair(seed=2)
-        cfg = replace(FAST, portfolio_prune_iter=10)
-        reference = solve(pair, config=cfg)
-        threaded = solve(
-            pair, config=cfg, backend="threaded-restart",
-            backend_options={"max_workers": 2},
-        )
-        np.testing.assert_array_equal(reference.plan, threaded.plan)
-        assert (
-            threaded.extras["portfolio"]["pruned"]
-            == reference.extras["portfolio"]["pruned"]
-        )
+        assert serial.extras["threading"]["workers"] == 1
+        assert threaded.extras["threading"]["workers"] == 3
+        for anchor in (serial, batched):
+            np.testing.assert_array_equal(anchor.plan, threaded.plan)
+            assert threaded.extras["objective"] == anchor.extras["objective"]
+            assert (
+                threaded.extras["selected_start"]
+                == anchor.extras["selected_start"]
+            )
 
 
 class TestThreadingSurface:
